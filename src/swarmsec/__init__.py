@@ -10,23 +10,22 @@ block-coordinate method.
 
 __version__ = "0.1.0"
 
-from .channel import (ENVIRONMENT_PRESETS, EnvironmentParams, LossVector,
-                      dbm_to_watts, derive_seed, environment_preset, loss_vector,
-                      path_loss_db, power_loss_linear, sample_small_scale,
-                      substream, watts_to_dbm)
+from .channel import (ENVIRONMENT_PRESETS, EnvironmentParams, dbm_to_watts,
+                      derive_seed, environment_preset, path_loss_db,
+                      power_loss_linear, sample_small_scale, substream,
+                      watts_to_dbm)
 from .errors import NumericalError
 from .geometry import Position3D, SlotGeometry, distance, elevation_angle_deg, worst_case_eve_position
 from .optimizer import (IterationRecord, SolutionTrace, audit_feasibility,
-                        per_slot_secrecy, rate_term_gradient, rate_term_tangent,
-                        run_bcd, sca_surrogate_value, solve_aux_block_max,
+                        rate_term_gradient, rate_term_tangent, run_bcd,
+                        sca_surrogate_value, solve_aux_block_max,
                         solve_aux_block_min, solve_duration_lp,
                         solve_power_subproblem, throughput_at_aux)
 from .rates import (AuxVariables, RateEstimate, ergodic_rate_mc,
-                    fixed_point_residual, rate_term,
+                    fixed_point_residual, per_slot_secrecy, rate_term,
                     secrecy_throughput_closed_form, secrecy_throughput_mc,
                     solve_fixed_point)
-from .scenario import (Budgets, PowerSchedule, Scenario, uniform_schedule,
-                       validate_durations, validate_schedule)
+from .scenario import Budgets, PowerSchedule, Scenario, uniform_schedule
 
 __all__ = [
     "ENVIRONMENT_PRESETS",
@@ -34,7 +33,6 @@ __all__ = [
     "Budgets",
     "EnvironmentParams",
     "IterationRecord",
-    "LossVector",
     "NumericalError",
     "Position3D",
     "PowerSchedule",
@@ -50,7 +48,6 @@ __all__ = [
     "environment_preset",
     "ergodic_rate_mc",
     "fixed_point_residual",
-    "loss_vector",
     "path_loss_db",
     "per_slot_secrecy",
     "power_loss_linear",
@@ -70,8 +67,6 @@ __all__ = [
     "substream",
     "throughput_at_aux",
     "uniform_schedule",
-    "validate_durations",
-    "validate_schedule",
     "watts_to_dbm",
     "worst_case_eve_position",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Position3D, SlotGeometry, distance, elevation_angle_deg
+from .geometry import Position3D, distance, elevation_angle_deg
 
 LIGHT_SPEED_M_S = 3.0e8
 
@@ -82,40 +82,6 @@ def path_loss_db(env: EnvironmentParams, uav: Position3D, ground: Position3D) ->
 def power_loss_linear(env: EnvironmentParams, uav: Position3D, ground: Position3D) -> float:
     """Absolute power attenuation factor, 10**(path_loss_db / 10)."""
     return 10.0 ** (path_loss_db(env, uav, ground) / 10.0)
-
-
-@dataclass(frozen=True)
-class LossVector:
-    """Per-transmitter linear power losses toward one receiver."""
-
-    q: np.ndarray
-    receiver_antennas: int
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("losses must form a non-empty 1-D vector")
-        if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
-            raise ValueError("losses must be positive and finite")
-        object.__setattr__(self, "q", q)
-        if int(self.receiver_antennas) < 1:
-            raise ValueError("receiver needs at least one antenna")
-
-    def __len__(self) -> int:
-        return self.q.size
-
-
-def loss_vector(env: EnvironmentParams, slot: SlotGeometry, receiver: str,
-                n_antennas: int) -> LossVector:
-    """Linear losses from every swarm member to the slot's chosen receiver."""
-    if receiver == "bob":
-        target = slot.bob_position
-    elif receiver == "eve":
-        target = slot.eve_position
-    else:
-        raise ValueError(f"receiver must be 'bob' or 'eve', got {receiver!r}")
-    q = np.array([power_loss_linear(env, uav, target) for uav in slot.uav_positions])
-    return LossVector(q=q, receiver_antennas=n_antennas)
 
 
 def _entropy_word(part) -> int:

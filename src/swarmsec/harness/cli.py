@@ -9,6 +9,7 @@ from pathlib import Path
 
 import yaml
 
+from ..errors import NumericalError
 from .config import load_config
 from .experiments import EXPERIMENTS, run_experiment
 
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
         if overrides:
             config = dataclasses.replace(config, **overrides)
         result = run_experiment(config, args.experiment, Path(args.out_dir), jobs=args.jobs)
-    except (ValueError, OSError, yaml.YAMLError) as exc:
+    except (ValueError, OSError, yaml.YAMLError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,6 +85,17 @@ class ScenarioConfig:
                              f"got {self.sweep_variable!r}")
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
             raise ValueError("altitudes must satisfy 0 < altitude_min_m <= altitude_max_m")
+        for name in ("cell_size_m", "eve_ring_radius_m"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.hover_radius_m >= 0:
+            raise ValueError("hover_radius_m must be nonnegative")
+        for name in ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"):
+            if not isinstance(getattr(self, name), (list, tuple)) or not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty list")
+        for name in ("validate_p_a_dbm", "validate_p_s_dbm"):
+            for v in getattr(self, name):
+                _as_float(name, v)
 
     def environment_params(self) -> EnvironmentParams:
         if self.environment == "custom":
@@ -107,6 +118,30 @@ class ScenarioConfig:
         return dbm_to_watts(self.noise_dbm)
 
 
+def _as_int(name: str, v) -> int:
+    """An integer config value; integral floats and integer strings pass, booleans do not."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _as_float(name: str, v) -> float:
+    """A real config value; numeric strings pass, booleans do not."""
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {v!r}")
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a config from a plain dict, rejecting unknown keys."""
     if not isinstance(raw, dict):
@@ -121,11 +156,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             continue
         v = raw[f.name]
         if f.type == "int":
-            coerced[f.name] = int(v)
+            coerced[f.name] = _as_int(f.name, v)
         elif f.type == "float":
-            coerced[f.name] = float(v)
+            coerced[f.name] = _as_float(f.name, v)
         elif f.type == "float | None":
-            coerced[f.name] = None if v is None else float(v)
+            coerced[f.name] = None if v is None else _as_float(f.name, v)
         else:
             coerced[f.name] = v
     return ScenarioConfig(**coerced)

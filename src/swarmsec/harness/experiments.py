@@ -92,12 +92,21 @@ def _write_manifest(out_dir: Path, experiment: str, config: ScenarioConfig,
 
 
 def initial_point(scenario: Scenario, config: ScenarioConfig):
-    """Starting point for the optimizer: uniform powers, one second per slot."""
+    """Starting point for the optimizer: uniform powers and equal slot durations.
+
+    Each slot gets one second, shortened where a budget would otherwise be
+    broken: the per-slot cap, the total time, or the energy that N slots at
+    the start power use.
+    """
     schedule = uniform_schedule(scenario,
                                 dbm_to_watts(config.init_p_u_dbm),
                                 dbm_to_watts(config.init_p_a_dbm))
-    tau = np.ones(scenario.n_slots)
-    return schedule, tau
+    b, n = scenario.budgets, scenario.n_slots
+    duration = min(1.0, b.tau_max_s, b.t_total_s / n)
+    p_u = float(schedule.p_u.max())
+    if p_u > 0.0:
+        duration = min(duration, b.e_max_j / (n * p_u))
+    return schedule, np.full(n, duration)
 
 
 def _optimize_once(config: ScenarioConfig, seed: int):

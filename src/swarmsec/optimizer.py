@@ -1,11 +1,12 @@
 """Block-coordinate ascent for the secrecy-throughput design problem.
 
 Each outer iteration cycles four blocks: the two auxiliary-variable blocks
-(scalar fixed points per slot), the transmit-power block (a concave surrogate
-obtained by linearizing the two rate terms that enter the objective through
-their difference), and the slot-duration block (a plain LP). The power block
-decomposes per UAV and is solved to KKT stationarity by bisection on the
-energy-budget multiplier with closed-form per-slot solutions.
+(the per-slot fixed points of the current schedule, already solved by the
+closed-form evaluation that scored it), the transmit-power block (a concave
+surrogate obtained by linearizing the two rate terms that enter the objective
+through their difference), and the slot-duration block (a plain LP). The
+power block decomposes per UAV and is solved to KKT stationarity by bisection
+on the energy-budget multiplier with closed-form per-slot solutions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import NumericalError
-from .rates import (LOG2E, AuxVariables, _check_term_inputs, rate_term,
+from .rates import (LOG2E, AuxVariables, _check_aux, _check_pair, _check_term_inputs,
+                    _col, _lane_stack, _secrecy_rate, per_slot_secrecy, rate_term,
                     secrecy_throughput_closed_form, solve_fixed_point)
 from .scenario import PowerSchedule, Scenario
 
@@ -24,19 +26,19 @@ from .scenario import PowerSchedule, Scenario
 # ---------------------------------------------------------------------------
 # auxiliary-variable blocks
 
+def _solve_aux_rows(schedule: PowerSchedule, tau, scenario: Scenario, rows) -> tuple:
+    _check_pair(scenario, schedule, tau)
+    p, n, q = _lane_stack(scenario, schedule)
+    return tuple(solve_fixed_point(p[rows], n[rows], q[rows], scenario.noise_w))
+
+
 def solve_aux_block_min(schedule: PowerSchedule, tau, scenario: Scenario):
     """Auxiliary minimizers for the rate terms entering the objective with + sign.
 
     Returns (bob_total, eve_an), each length N. Slots with zero duration are
     still solved; the later blocks may re-activate them.
     """
-    _check_block_inputs(schedule, tau, scenario)
-    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
-    bob_total = np.array([solve_fixed_point(schedule.p_u[:, n], nb, scenario.loss_bob[n], noise)
-                          for n in range(scenario.n_slots)])
-    eve_an = np.array([solve_fixed_point(schedule.p_a[:, n], ne, scenario.loss_eve[n], noise)
-                       for n in range(scenario.n_slots)])
-    return bob_total, eve_an
+    return _solve_aux_rows(schedule, tau, scenario, [0, 3])
 
 
 def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
@@ -46,70 +48,41 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
     each negated rate term, i.e. the same per-slot fixed points. Returns
     (bob_an, eve_total).
     """
-    _check_block_inputs(schedule, tau, scenario)
-    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
-    bob_an = np.array([solve_fixed_point(schedule.p_a[:, n], nb, scenario.loss_bob[n], noise)
-                       for n in range(scenario.n_slots)])
-    eve_total = np.array([solve_fixed_point(schedule.p_u[:, n], ne, scenario.loss_eve[n], noise)
-                          for n in range(scenario.n_slots)])
-    return bob_an, eve_total
-
-
-def _check_block_inputs(schedule: PowerSchedule, tau, scenario: Scenario) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    if schedule.shape != (scenario.n_uavs, scenario.n_slots):
-        raise ValueError("schedule shape does not match the scenario")
-    if tau.shape != (scenario.n_slots,):
-        raise ValueError("tau must have one entry per slot")
-    return tau
+    return _solve_aux_rows(schedule, tau, scenario, [1, 2])
 
 
 # ---------------------------------------------------------------------------
 # surrogate pieces
 
-def rate_term_gradient(p, n_antennas: int, losses, aux: float, noise: float) -> np.ndarray:
-    """Gradient of ``rate_term`` in the power vector, elementwise (bits/s/Hz per W)."""
+def rate_term_gradient(p, n_antennas, losses, aux, noise: float) -> np.ndarray:
+    """Gradient of ``rate_term`` in the powers, elementwise (bits/s/Hz per W).
+
+    Batched like ``rate_term``.
+    """
     p, losses = _check_term_inputs(p, losses, noise)
-    if not (np.isfinite(aux) and aux >= 0.0):
-        raise ValueError(f"aux must be nonnegative and finite, got {aux}")
-    c = n_antennas / (noise * np.exp(aux))
+    aux = _check_aux(aux)
+    c = _col(n_antennas) / (noise * _col(np.exp(aux)))
     scaled = c / losses
     return LOG2E * scaled / (1.0 + scaled * p)
 
 
-def rate_term_tangent(p, n_antennas: int, losses, aux: float, noise: float,
-                      anchor_p) -> float:
+def rate_term_tangent(p, n_antennas, losses, aux, noise: float, anchor_p):
     """First-order expansion of ``rate_term`` around ``anchor_p``.
 
     The term is concave in the powers, so the tangent is a global upper bound,
-    exact at the anchor.
+    exact at the anchor. Batched like ``rate_term``.
     """
     p = np.asarray(p, dtype=float)
     anchor_p = np.asarray(anchor_p, dtype=float)
     base = rate_term(anchor_p, n_antennas, losses, aux, noise)
     grad = rate_term_gradient(anchor_p, n_antennas, losses, aux, noise)
-    return base + float(np.dot(grad, p - anchor_p))
-
-
-def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule,
-                     aux: AuxVariables) -> np.ndarray:
-    """Per-slot secrecy rates evaluated at fixed auxiliary values."""
-    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
-    out = np.empty(scenario.n_slots)
-    for n in range(scenario.n_slots):
-        qb, qe = scenario.loss_bob[n], scenario.loss_eve[n]
-        pu, pa = schedule.p_u[:, n], schedule.p_a[:, n]
-        out[n] = (rate_term(pu, nb, qb, aux.bob_total[n], noise)
-                  - rate_term(pa, nb, qb, aux.bob_an[n], noise)
-                  - rate_term(pu, ne, qe, aux.eve_total[n], noise)
-                  + rate_term(pa, ne, qe, aux.eve_an[n], noise))
-    return out
+    return base + np.sum(grad * (p - anchor_p), axis=-1)
 
 
 def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau,
                       aux: AuxVariables) -> float:
     """Objective value with all four auxiliary vectors held fixed."""
-    tau = _check_block_inputs(schedule, tau, scenario)
+    tau = _check_pair(scenario, schedule, tau)
     return float(np.dot(tau, per_slot_secrecy(scenario, schedule, aux))
                  / scenario.budgets.t_period_s)
 
@@ -119,24 +92,17 @@ def sca_surrogate_value(scenario: Scenario, schedule: PowerSchedule, tau,
     """Value of the concave power-block surrogate at ``schedule``.
 
     The two rate terms that would make the objective a difference of concave
-    functions are replaced by tangents at the anchor schedule, which makes the
-    surrogate concave and a global lower bound on the fixed-aux objective that
-    is exact at the anchor.
+    functions (bob_an and eve_total) are replaced by tangents at the anchor
+    schedule, which makes the surrogate concave and a global lower bound on
+    the fixed-aux objective that is exact at the anchor.
     """
-    tau = _check_block_inputs(schedule, tau, scenario)
-    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
-    total = 0.0
-    for n in range(scenario.n_slots):
-        qb, qe = scenario.loss_bob[n], scenario.loss_eve[n]
-        pu, pa = schedule.p_u[:, n], schedule.p_a[:, n]
-        bracket = (rate_term(pu, nb, qb, aux.bob_total[n], noise)
-                   - rate_term_tangent(pa, nb, qb, aux.bob_an[n], noise,
-                                       anchor.p_a[:, n])
-                   - rate_term_tangent(pu, ne, qe, aux.eve_total[n], noise,
-                                       anchor.p_u[:, n])
-                   + rate_term(pa, ne, qe, aux.eve_an[n], noise))
-        total += tau[n] * bracket
-    return total / scenario.budgets.t_period_s
+    tau = _check_pair(scenario, schedule, tau)
+    p, n, q = _lane_stack(scenario, schedule)
+    anchor_p, _, _ = _lane_stack(scenario, anchor)
+    a, noise = aux.stack(), scenario.noise_w
+    terms = rate_term(p, n, q, a, noise)
+    terms[1:3] = rate_term_tangent(p[1:3], n[1:3], q[1:3], a[1:3], noise, anchor_p[1:3])
+    return float(np.dot(tau, _secrecy_rate(terms)) / scenario.budgets.t_period_s)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +203,7 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
     Slots with zero duration keep their previous powers verbatim. Raises
     NumericalError if the KKT residual audit exceeds ``tol``.
     """
-    tau = _check_block_inputs(schedule_prev, tau_prev, scenario)
+    tau = _check_pair(scenario, schedule_prev, tau_prev)
     b = scenario.budgets
     nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
 
@@ -381,29 +347,26 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
     tolerance.
     """
     eps_floor = 1e-12
-    tau = np.asarray(init_tau, dtype=float).copy()
-    _check_block_inputs(init_schedule, tau, scenario)
+    tau = _check_pair(scenario, init_schedule, init_tau).copy()
     start_violation = max(audit_feasibility(scenario, init_schedule, tau).values())
     if start_violation > 1e-9:
         raise ValueError(f"initial point infeasible by {start_violation:.3e}")
 
     schedule = init_schedule.copy()
-    r_prev, _, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
+    # the aux blocks' exact solution is the fixed points of the current
+    # schedule, which the closed form that scored it has already returned
+    r_prev, aux, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
     initial_objective = r_prev
 
     iterations: list[IterationRecord] = []
     converged = False
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        bob_total, eve_an = solve_aux_block_min(schedule, tau, scenario)
-        bob_an, eve_total = solve_aux_block_max(schedule, tau, scenario)
-        aux = AuxVariables(bob_total, bob_an, eve_total, eve_an)
-
         schedule, inner_iters = _power_sca_step(aux, tau, schedule, scenario,
                                                 power_tol, inner_tol, max_inner)
         tau = solve_duration_lp(aux, schedule, scenario)
 
-        r_new, aux_fresh, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+        r_new, aux_next, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
         r_clip = float(np.dot(tau, np.maximum(per_slot, 0.0))
                        / scenario.budgets.t_period_s)
         violations = audit_feasibility(scenario, schedule, tau)
@@ -413,7 +376,7 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
             objective_clipped=r_clip,
             schedule=schedule.copy(),
             tau=tau.copy(),
-            aux=aux_fresh,
+            aux=aux_next,
             diagnostics={
                 "max_violation": max(violations.values()),
                 "violations": violations,
@@ -426,7 +389,7 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
             converged = True
             stop_reason = "fractional_increase_below_epsilon"
             break
-        r_prev = r_new
+        r_prev, aux = r_new, aux_next
 
     return SolutionTrace(initial_objective=initial_objective, iterations=iterations,
                          converged=converged, stop_reason=stop_reason)

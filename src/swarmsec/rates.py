@@ -24,6 +24,10 @@ LOG2E = math.log2(math.e)
 FIXED_POINT_TOL = 1e-12
 
 
+#: row order of every four-term lane stack: (receiver, power matrix)
+TERMS = ("bob_total", "bob_an", "eve_total", "eve_an")
+
+
 @dataclass(frozen=True)
 class AuxVariables:
     """Per-slot auxiliary minimizers for the four rate terms.
@@ -40,11 +44,15 @@ class AuxVariables:
     eve_an: np.ndarray
 
     def __post_init__(self):
-        for name in ("bob_total", "bob_an", "eve_total", "eve_an"):
+        for name in TERMS:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.ndim != 1 or np.any(v < 0.0) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a 1-D vector of nonnegative finite values")
             object.__setattr__(self, name, v)
+
+    def stack(self) -> np.ndarray:
+        """The four vectors as a (4, N) array, rows in ``TERMS`` order."""
+        return np.stack([getattr(self, name) for name in TERMS])
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,8 @@ class RateEstimate:
 def _check_term_inputs(p, losses, noise) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     losses = np.asarray(losses, dtype=float)
-    if p.shape != losses.shape or p.ndim != 1:
-        raise ValueError("powers and losses must be 1-D vectors of equal length")
+    if p.shape != losses.shape or p.ndim < 1:
+        raise ValueError("powers and losses must be arrays of equal shape (..., L)")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise ValueError("powers must be nonnegative and finite")
     if not np.all(np.isfinite(losses)) or np.any(losses <= 0.0):
@@ -70,99 +78,105 @@ def _check_term_inputs(p, losses, noise) -> tuple[np.ndarray, np.ndarray]:
     return p, losses
 
 
-def rate_term(p, n_antennas: int, losses, aux: float, noise: float) -> float:
+def _check_aux(aux) -> np.ndarray:
+    aux = np.asarray(aux, dtype=float)
+    if not (np.all(np.isfinite(aux)) and np.all(aux >= 0.0)):
+        raise ValueError(f"aux must be nonnegative and finite, got {aux}")
+    return aux
+
+
+def _col(v) -> np.ndarray:
+    """Per-lane value (scalar or over the leading lane axes) against the (..., L) axis."""
+    return np.asarray(v, dtype=float)[..., None]
+
+
+def _out(v):
+    """A lone lane as a float, a batch as an array."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def rate_term(p, n_antennas, losses, aux, noise: float):
     """Deterministic-equivalent rate term at auxiliary value ``aux`` (bits/s/Hz).
 
     Sum of per-transmitter log terms with the SNR damped by e^aux, plus the
     convex penalty n_antennas*log2(e)*(aux - 1 + e^-aux). Minimizing over
-    aux >= 0 approximates the ergodic MIMO log-det rate.
+    aux >= 0 approximates the ergodic MIMO log-det rate. ``p`` and ``losses``
+    are (..., L) lane stacks; ``n_antennas`` and ``aux`` broadcast over the
+    leading lane axes. A single lane of shape (L,) gives a float.
     """
     p, losses = _check_term_inputs(p, losses, noise)
-    if not (np.isfinite(aux) and aux >= 0.0):
-        raise ValueError(f"aux must be nonnegative and finite, got {aux}")
-    snr = n_antennas * p / (losses * noise * math.exp(aux))
-    logsum = float(np.sum(np.log1p(snr))) * LOG2E
-    return logsum + n_antennas * LOG2E * (aux - 1.0 + math.exp(-aux))
+    aux = _check_aux(aux)
+    n = np.asarray(n_antennas, dtype=float)
+    snr = _col(n) * p / (losses * noise * _col(np.exp(aux)))
+    logsum = np.sum(np.log1p(snr), axis=-1) * LOG2E
+    return _out(logsum + n * LOG2E * (aux - 1.0 + np.exp(-aux)))
 
 
-def fixed_point_residual(p, n_antennas: int, losses, aux: float, noise: float) -> float:
+def _residual(x, n, aux, noise):
+    """Fixed-point residual and its slope in aux, per lane; ``n`` is a column."""
+    damp = np.exp(-aux)
+    sx = x * damp[..., None]
+    den = noise + n * sx
+    value = np.sum(sx / den, axis=-1) - 1.0 + damp
+    slope = -np.sum(noise * sx / (den * den), axis=-1) - damp
+    return value, slope
+
+
+def fixed_point_residual(p, n_antennas, losses, aux, noise: float):
     """Stationarity residual of ``rate_term`` in aux; positive left of the root.
 
     Strictly decreasing in aux, nonnegative at aux = 0, with a unique root at
     the minimizer. Equals the relative residual of the equivalent fixed-point
-    equation in w = e^aux.
+    equation in w = e^aux. Batched like ``rate_term``.
     """
     p, losses = _check_term_inputs(p, losses, noise)
-    x = p / losses
-    damp = math.exp(-aux)
-    s = float(np.sum(x * damp / (noise + n_antennas * x * damp)))
-    return s - 1.0 + damp
+    value, _ = _residual(p / losses, _col(n_antennas), np.asarray(aux, dtype=float), noise)
+    return _out(value)
 
 
-def _residual_slope(x: np.ndarray, n_antennas: int, aux: float, noise: float) -> float:
-    damp = math.exp(-aux)
-    den = noise + n_antennas * x * damp
-    return float(-np.sum(noise * x * damp / (den * den)) - damp)
+def solve_fixed_point(p, n_antennas, losses, noise: float):
+    """Minimizing auxiliary value for ``rate_term``, per lane: root of the residual.
 
-
-def solve_fixed_point(p, n_antennas: int, losses, noise: float) -> float:
-    """Minimizing auxiliary value for ``rate_term``: root of the residual.
-
-    Brackets the root by doubling, bisects, then polishes with a few Newton
-    steps. Guarantees |residual| <= 1e-12 at the returned value (raises
-    NumericalError otherwise); equivalently the w = e^aux fixed-point equation
-    holds to 1e-12 relative. All-zero powers return exactly 0.
+    In w = e^aux the residual times w is concave, nonnegative at w = 1 and
+    negative beyond w = 1 + sum(p/losses)/noise. Each lane starts at that
+    upper end and takes Newton steps in w, which descend monotonically onto
+    the root; a step that leaves the lane's bracket bisects it instead. Each
+    lane stops on its own test, so it gives the same bits alone or in any
+    batch. Guarantees |residual| <= 1e-12 per lane (raises NumericalError
+    naming the worst lane otherwise); all-zero lanes return exactly 0.
+    Batched like ``rate_term``.
     """
     p, losses = _check_term_inputs(p, losses, noise)
-    if not np.any(p > 0.0):
-        return 0.0
-    x = p / losses
-
-    def resid(t: float) -> float:
-        damp = math.exp(-t)
-        return float(np.sum(x * damp / (noise + n_antennas * x * damp))) - 1.0 + damp
-
-    if resid(0.0) <= 0.0:
-        # residual at 0 is sum(x/(noise + n x)) >= 0; only vanishing powers land here
-        return 0.0
-
-    lo, hi = 0.0, 1.0
-    while resid(hi) > 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise NumericalError("failed to bracket the fixed point",
-                                 {"hi": hi, "residual": resid(lo)})
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
+    x, n = p / losses, _col(n_antennas)
+    hi = np.log1p(np.sum(x, axis=-1) / noise)
+    lo = np.zeros_like(hi)
+    t = hi.copy()
+    value = np.zeros_like(hi)
+    active = np.ones(hi.shape, dtype=bool)
+    for _ in range(100):
+        fresh, slope = _residual(x, n, t, noise)
+        value = np.where(active, fresh, value)
+        active &= np.abs(value) > 0.1 * FIXED_POINT_TOL
+        if not active.any():
             break
+        lo = np.where(active & (value > 0.0), t, lo)
+        hi = np.where(active & (value <= 0.0), t, hi)
+        # Newton on F(w) = w * residual: dF/dw = residual + slope, and
+        # w - F/F' = w * (1 - residual/(residual + slope)), taken in aux = log w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t + np.log1p(-value / (value + slope))
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        active &= step != t  # the bracket has closed to rounding
+        t = np.where(active, step, t)
 
-    t = 0.5 * (lo + hi)
-    s = resid(t)
-    for _ in range(8):
-        if abs(s) <= 1e-13:
-            break
-        slope = _residual_slope(x, n_antennas, t, noise)
-        step = s / slope
-        t_next = t - step
-        if not (lo <= t_next <= hi):  # keep Newton inside the bisection bracket
-            t_next = 0.5 * (lo + hi)
-        t = t_next
-        s = resid(t)
-        if s > 0.0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-
-    if abs(s) > FIXED_POINT_TOL:
-        raise NumericalError("fixed-point residual above tolerance",
-                             {"aux": t, "residual": s})
-    return max(t, 0.0)
+    score = np.where(active, np.inf, np.abs(value))
+    if np.any(score > FIXED_POINT_TOL):
+        flat = int(np.argmax(score))
+        worst = tuple(int(i) for i in np.unravel_index(flat, score.shape))
+        raise NumericalError(f"fixed point not certified at lane {worst}",
+                             {"lane": worst, "aux": float(t[worst]),
+                              "residual": float(value[worst])})
+    return _out(np.maximum(t, 0.0))
 
 
 def _logdet2_quadratic(h: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
@@ -187,7 +201,8 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
         raise ValueError("samples must be at least 1")
     p_num = np.asarray(p_num, dtype=float)
     p_den, losses = _check_term_inputs(p_den, losses, noise)
-    if p_num.shape != p_den.shape or np.any(p_num < 0.0) or not np.all(np.isfinite(p_num)):
+    if (p_den.ndim != 1 or p_num.shape != p_den.shape or np.any(p_num < 0.0)
+            or not np.all(np.isfinite(p_num))):
         raise ValueError("p_num must be a nonnegative vector matching p_den")
 
     s = sample_small_scale(rng, n_antennas, losses.size, samples)
@@ -211,40 +226,48 @@ def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
     return tau
 
 
+def _lane_stack(scenario: Scenario, schedule: PowerSchedule):
+    """Powers and losses as (4, N, L) stacks and antenna counts as a (4, 1)
+    column, one row per rate term in ``TERMS`` order."""
+    p_u, p_a = schedule.p_u.T, schedule.p_a.T
+    nb, ne = scenario.bob_antennas, scenario.eve_antennas
+    p = np.stack([p_u, p_a, p_u, p_a])
+    q = np.stack([scenario.loss_bob, scenario.loss_bob, scenario.loss_eve, scenario.loss_eve])
+    return p, np.array([[nb], [nb], [ne], [ne]]), q
+
+
+def _secrecy_rate(terms) -> np.ndarray:
+    """Per-slot secrecy rate from a (4, N) stack of rate terms in ``TERMS`` order.
+
+    The scheduled user's rate with artificial noise as interference, minus
+    the eavesdropper's: (bob_total - bob_an) - (eve_total - eve_an).
+    """
+    return terms[0] - terms[1] - terms[2] + terms[3]
+
+
+def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule,
+                     aux: AuxVariables) -> np.ndarray:
+    """Per-slot secrecy rates evaluated at fixed auxiliary values."""
+    p, n, q = _lane_stack(scenario, schedule)
+    return _secrecy_rate(rate_term(p, n, q, aux.stack(), scenario.noise_w))
+
+
 def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
                                    tau) -> tuple[float, AuxVariables, np.ndarray]:
     """Closed-form average secrecy throughput in bits/s/Hz.
 
-    Solves the four per-slot fixed points, forms the per-slot secrecy rate
+    Solves the 4N fixed points as one batch, forms the per-slot secrecy rate
     (scheduled user's rate minus the eavesdropper's), and averages weighted by
     slot durations over the scheduling period. Returns the throughput, the
-    auxiliary minimizers, and the per-slot secrecy rates before weighting.
+    auxiliary minimizers (which depend on the schedule only), and the
+    per-slot secrecy rates before weighting.
     """
     tau = _check_pair(scenario, schedule, tau)
-    nb, ne = scenario.bob_antennas, scenario.eve_antennas
-    noise = scenario.noise_w
-    n = scenario.n_slots
-
-    bob_total = np.empty(n)
-    bob_an = np.empty(n)
-    eve_total = np.empty(n)
-    eve_an = np.empty(n)
-    per_slot = np.empty(n)
-    for i in range(n):
-        qb, qe = scenario.loss_bob[i], scenario.loss_eve[i]
-        pu, pa = schedule.p_u[:, i], schedule.p_a[:, i]
-        bob_total[i] = solve_fixed_point(pu, nb, qb, noise)
-        bob_an[i] = solve_fixed_point(pa, nb, qb, noise)
-        eve_total[i] = solve_fixed_point(pu, ne, qe, noise)
-        eve_an[i] = solve_fixed_point(pa, ne, qe, noise)
-        per_slot[i] = (rate_term(pu, nb, qb, bob_total[i], noise)
-                       - rate_term(pa, nb, qb, bob_an[i], noise)
-                       - rate_term(pu, ne, qe, eve_total[i], noise)
-                       + rate_term(pa, ne, qe, eve_an[i], noise))
-
-    aux = AuxVariables(bob_total, bob_an, eve_total, eve_an)
+    p, n, q = _lane_stack(scenario, schedule)
+    aux = solve_fixed_point(p, n, q, scenario.noise_w)
+    per_slot = _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
     value = float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
-    return value, aux, per_slot
+    return value, AuxVariables(*aux), per_slot
 
 
 def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,

@@ -119,26 +119,3 @@ def uniform_schedule(scenario: Scenario, p_u_w: float, p_a_w: float) -> PowerSch
     p_a = min(max(float(p_a_w), 0.0), p_u)
     shape = (scenario.n_uavs, scenario.n_slots)
     return PowerSchedule(np.full(shape, p_u), np.full(shape, p_a))
-
-
-def validate_schedule(schedule: PowerSchedule, p_max_w: float, atol: float = 1e-9) -> None:
-    """Raise ValueError unless 0 <= p_a <= p_u <= p_max within atol."""
-    if np.any(schedule.p_a < -atol) or np.any(schedule.p_u < -atol):
-        raise ValueError("powers must be nonnegative")
-    if np.any(schedule.p_a > schedule.p_u + atol):
-        raise ValueError("artificial-noise power cannot exceed total power")
-    if np.any(schedule.p_u > p_max_w + atol):
-        raise ValueError(f"total power exceeds the per-UAV cap {p_max_w}")
-
-
-def validate_durations(tau: np.ndarray, budgets: Budgets, atol: float = 1e-9) -> None:
-    """Raise ValueError unless 0 <= tau_n <= tau_max and sum(tau) <= t_total within atol."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1:
-        raise ValueError("durations must form a 1-D vector")
-    if np.any(tau < -atol):
-        raise ValueError("durations must be nonnegative")
-    if np.any(tau > budgets.tau_max_s + atol):
-        raise ValueError(f"a slot duration exceeds the cap {budgets.tau_max_s}")
-    if tau.sum() > budgets.t_total_s + atol:
-        raise ValueError("total transmission time exceeds the budget")

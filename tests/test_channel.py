@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from swarmsec.channel import (ENVIRONMENT_PRESETS, EnvironmentParams,
-                              dbm_to_watts, environment_preset, loss_vector,
+                              dbm_to_watts, environment_preset,
                               path_loss_db, power_loss_linear,
                               sample_small_scale, substream, watts_to_dbm)
-from swarmsec.geometry import Position3D, SlotGeometry
+from swarmsec.geometry import Position3D
 
 
 def test_preset_table():
@@ -92,20 +92,6 @@ def test_power_loss_linear_matches_db():
     db = path_loss_db(env, uav, ground)
     assert power_loss_linear(env, uav, ground) == pytest.approx(10.0 ** (db / 10.0),
                                                                 rel=1e-14)
-
-
-def test_loss_vector_per_member():
-    env = environment_preset("suburban")
-    bob = Position3D(0.0, 0.0, 0.0)
-    eve = Position3D(100.0, 0.0, 0.0)
-    uavs = (Position3D(5.0, 5.0, 120.0), Position3D(-10.0, 2.0, 180.0))
-    slot = SlotGeometry(uavs, bob, eve)
-    lv = loss_vector(env, slot, "bob", 4)
-    assert len(lv) == 2 and lv.receiver_antennas == 4
-    for i, uav in enumerate(uavs):
-        assert lv.q[i] == pytest.approx(power_loss_linear(env, uav, bob), rel=1e-14)
-    with pytest.raises(ValueError):
-        loss_vector(env, slot, "mallory", 4)
 
 
 def test_environment_params_validation():

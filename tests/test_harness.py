@@ -16,7 +16,7 @@ from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
-from swarmsec.harness.experiments import run_experiment
+from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
 from swarmsec.rates import LOG2E
 
@@ -60,7 +60,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"n_uavs": 3, "warp_factor": 9})
 
 
+#: each entry, alone on top of the defaults, must fail at load with a ValueError
+BAD_CONFIG_VALUES = [
+    {"n_uavs": True},
+    {"eve_antennas": 1.7},
+    {"cell_size_m": -5},
+    {"hover_radius_m": -50},
+    {"eve_ring_radius_m": 0},
+    {"sweep_values": []},
+    {"validate_p_a_dbm": "abc"},
+    {"validate_p_s_dbm": [0.0, "x"]},
+    {"p_max_dbm": "abc"},
+]
+
+
 def test_config_rejects_bad_values():
+    for raw in BAD_CONFIG_VALUES:
+        with pytest.raises(ValueError):
+            config_from_dict(raw)
     with pytest.raises(ValueError):
         ScenarioConfig(environment="atlantis")
     with pytest.raises(ValueError):
@@ -322,6 +339,57 @@ def test_cli_bad_yaml(tmp_path, capsys):
     rc = main(["optimize", "--config", str(bad), "--out-dir", str(tmp_path / "r")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_cli_bad_config_values_exit_1(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    for i, raw in enumerate(BAD_CONFIG_VALUES):
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["optimize", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        _assert_one_error_line(capsys)
+    assert not out_dir.exists()
+
+
+def test_cli_numerical_error_exits_1(tmp_path, capsys, monkeypatch):
+    from swarmsec.errors import NumericalError
+    from swarmsec.harness import cli
+
+    def fail(*args, **kwargs):
+        raise NumericalError("fixed point not certified at lane (0, 3)", {"residual": 1.0})
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    rc = main(["optimize", "--config", str(_write_tiny_yaml(tmp_path)),
+               "--out-dir", str(tmp_path / "results")])
+    assert rc == 1
+    _assert_one_error_line(capsys)
+
+
+def test_initial_point_fits_the_budgets():
+    cfg = tiny_config()
+    scenario = generate_topology(cfg, seed=4)
+    _, tau = initial_point(scenario, cfg)
+    assert np.array_equal(tau, np.ones(cfg.n_slots))  # feasible starts keep 1 s
+    lean = tiny_config(e_max_j=0.5)  # 2 slots at 27 dBm would need 1.0 J
+    schedule, tau = initial_point(generate_topology(lean, seed=4), lean)
+    assert np.all(tau < 1.0)
+    assert np.all(schedule.p_u @ tau <= lean.e_max_j + 1e-12)
+
+
+def test_cli_optimize_small_energy_budget(tmp_path):
+    # the default start (10 slots, 1 W, 1 s) would use 10 J of a 5 J budget
+    path = tmp_path / "lean.yaml"
+    path.write_text("e_max_j: 5\n")
+    out_dir = tmp_path / "results"
+    assert main(["optimize", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    trace = _read_csv(out_dir / "optimize_trace.csv")
+    assert max(float(v) for v in trace["max_violation"]) <= 1e-9
 
 
 def test_cli_unknown_experiment_exits_with_usage_error(tmp_path):

@@ -399,6 +399,26 @@ def test_bcd_rejects_infeasible_start():
         run_bcd(scenario, hot, tau)
 
 
+def test_bcd_solves_each_iterations_fixed_points_once(monkeypatch):
+    # the aux blocks reuse the closed form's fixed points: 4N lanes for the
+    # starting point plus 4N per iteration's closed-form evaluation
+    from swarmsec import optimizer, rates
+
+    lanes = []
+    solve = rates.solve_fixed_point
+
+    def counting(p, n_antennas, losses, noise):
+        lanes.append(int(np.prod(np.shape(p)[:-1])))
+        return solve(p, n_antennas, losses, noise)
+
+    monkeypatch.setattr(rates, "solve_fixed_point", counting)
+    monkeypatch.setattr(optimizer, "solve_fixed_point", counting)
+    scenario, schedule, tau = _bcd_setup(seed=1)
+    trace = run_bcd(scenario, schedule, tau, epsilon=1e-4, max_iter=8)
+    assert sum(lanes) == 4 * scenario.n_slots * (len(trace.iterations) + 1)
+    assert len(lanes) == len(trace.iterations) + 1
+
+
 def test_bcd_monotone_feasible_and_consistent():
     # asymmetric receivers (more legitimate antennas than eavesdropper ones)
     # give the smooth ascent regime: monotone trace, few iterations

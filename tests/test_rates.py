@@ -114,6 +114,72 @@ def test_fixed_point_high_snr_asymptote():
     assert math.exp(t) == pytest.approx((size - n) * snr, rel=1e-6)
 
 
+def _acceptance_instances(count=1000, width=8):
+    """The acceptance-2 instance distribution, zero-padded to one lane width."""
+    rng = np.random.default_rng(2)
+    p, losses, n = np.zeros((count, width)), np.ones((count, width)), np.empty(count)
+    sizes = []
+    for k in range(count):
+        size = int(rng.integers(1, 9))
+        n[k] = int(rng.integers(1, 6))
+        losses[k, :size] = 10.0 ** rng.uniform(7.0, 10.0, size)
+        p[k, :size] = 10.0 ** rng.uniform(-3.0, 0.0, size)
+        sizes.append(size)
+    return p, losses, n, sizes
+
+
+def test_fixed_point_batch_equals_lanes_alone():
+    # zero-power padding leaves each fixed point unchanged, so the padded lanes
+    # are the acceptance-2 instances; every lane of the batch must carry the
+    # same bits as that lane solved on its own
+    p, losses, n, sizes = _acceptance_instances()
+    batch = solve_fixed_point(p, n, losses, 1e-13)
+    assert batch.shape == (len(sizes),)
+    for k, size in enumerate(sizes):
+        assert batch[k] == solve_fixed_point(p[k], int(n[k]), losses[k], 1e-13)
+        assert abs(fixed_point_residual(p[k, :size], int(n[k]), losses[k, :size],
+                                        batch[k], 1e-13)) <= FIXED_POINT_TOL
+    residual = fixed_point_residual(p, n, losses, batch, 1e-13)
+    assert np.max(np.abs(residual)) <= FIXED_POINT_TOL
+
+
+def test_fixed_point_batch_zero_lanes_exactly_zero():
+    p = np.array([[[0.0, 0.0, 0.0], [0.5, 0.1, 0.0]],
+                  [[0.2, 0.3, 0.9], [0.0, 0.0, 0.0]]])
+    losses = np.full(p.shape, 1e8)
+    t = solve_fixed_point(p, np.array([[2], [3]]), losses, 1e-13)
+    assert t.shape == (2, 2)
+    assert t[0, 0] == 0.0 and t[1, 1] == 0.0
+    assert t[0, 1] > 0.0 and t[1, 0] > 0.0
+    assert t[0, 1] == solve_fixed_point(p[0, 1], 2, losses[0, 1], 1e-13)
+
+
+def test_fixed_point_failure_names_the_worst_lane(monkeypatch):
+    # with a zero tolerance no lane can be certified; the error must point at
+    # the lane whose residual is largest
+    from swarmsec import rates
+
+    p, losses, n, _ = _acceptance_instances(count=20)
+    monkeypatch.setattr(rates, "FIXED_POINT_TOL", 0.0)
+    with pytest.raises(NumericalError) as exc:
+        solve_fixed_point(p.reshape(4, 5, -1), n.reshape(4, 5), losses.reshape(4, 5, -1),
+                          1e-13)
+    lane = exc.value.diagnostics["lane"]
+    assert len(lane) == 2 and str(lane) in str(exc.value)
+    worst = abs(fixed_point_residual(p.reshape(4, 5, -1)[lane], n.reshape(4, 5)[lane],
+                                     losses.reshape(4, 5, -1)[lane],
+                                     exc.value.diagnostics["aux"], 1e-13))
+    assert worst == abs(exc.value.diagnostics["residual"]) > 0.0
+
+
+def test_rate_term_batch_matches_lanes():
+    p, losses, n, sizes = _acceptance_instances(count=50)
+    aux = solve_fixed_point(p, n, losses, 1e-13)
+    batch = rate_term(p, n, losses, aux, 1e-13)
+    for k in range(len(sizes)):
+        assert batch[k] == rate_term(p[k], int(n[k]), losses[k], aux[k], 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 
