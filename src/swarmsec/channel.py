@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Position3D, distance, elevation_angle_deg
-
 LIGHT_SPEED_M_S = 3.0e8
 
 
@@ -59,7 +57,10 @@ def environment_preset(name: str) -> EnvironmentParams:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {dbm} dBm is out of range") from None
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -68,10 +69,19 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
-def path_loss_db(env: EnvironmentParams, uav: Position3D, ground: Position3D) -> float:
-    """Air-to-ground path loss in dB between one transmitter and one ground node."""
-    d = distance(uav, ground)
-    rho = elevation_angle_deg(uav, ground)
+def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
+    """Air-to-ground path loss in dB between one transmitter and one ground node.
+
+    ``uav`` (airborne) and ``ground`` (z = 0) are points with x, y, z in meters,
+    e.g. ``Position3D``. The loss is a function of the slant range d and the
+    elevation angle asin(z / d) in degrees.
+    """
+    if uav.z <= 0.0:
+        raise ValueError(f"transmitter altitude must be positive, got {uav.z}")
+    if ground.z != 0.0:
+        raise ValueError(f"ground node must have z = 0, got {ground.z}")
+    d = math.sqrt(uav.z ** 2 + (uav.x - ground.x) ** 2 + (uav.y - ground.y) ** 2)
+    rho = math.degrees(math.asin(uav.z / d))
     excess_span = env.eta_los_db - env.eta_nlos_db
     blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
     free_space = 20.0 * math.log10(d) + 20.0 * math.log10(
@@ -79,7 +89,7 @@ def path_loss_db(env: EnvironmentParams, uav: Position3D, ground: Position3D) ->
     return blended + free_space + env.eta_nlos_db
 
 
-def power_loss_linear(env: EnvironmentParams, uav: Position3D, ground: Position3D) -> float:
+def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
     """Absolute power attenuation factor, 10**(path_loss_db / 10)."""
     return 10.0 ** (path_loss_db(env, uav, ground) / 10.0)
 

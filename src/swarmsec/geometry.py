@@ -1,4 +1,4 @@
-"""Node positions, air-to-ground geometry and worst-case eavesdropper placement."""
+"""Node positions and worst-case eavesdropper placement."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import power_loss_linear
 
 
 @dataclass(frozen=True)
@@ -46,28 +48,6 @@ class SlotGeometry:
         return len(self.uav_positions)
 
 
-def _check_link(uav: Position3D, ground: Position3D) -> None:
-    if uav.z <= 0.0:
-        raise ValueError(f"transmitter altitude must be positive, got {uav.z}")
-    if ground.z != 0.0:
-        raise ValueError(f"ground node must have z = 0, got {ground.z}")
-
-
-def distance(uav: Position3D, ground: Position3D) -> float:
-    """Slant range in meters between an airborne transmitter and a ground node."""
-    _check_link(uav, ground)
-    return math.sqrt(uav.z ** 2 + (uav.x - ground.x) ** 2 + (uav.y - ground.y) ** 2)
-
-
-def elevation_angle_deg(uav: Position3D, ground: Position3D) -> float:
-    """Elevation angle in degrees under which the ground node sees the transmitter.
-
-    Lies in (0, 90]; exactly 90 when the transmitter is directly overhead.
-    """
-    d = distance(uav, ground)
-    return math.degrees(math.asin(uav.z / d))
-
-
 def _ring_point(center: Position3D, radius: float, theta: float) -> Position3D:
     return Position3D(center.x + radius * math.cos(theta),
                       center.y + radius * math.sin(theta), 0.0)
@@ -83,9 +63,6 @@ def worst_case_eve_position(bob: Position3D, ring_radius: float,
     exactly symmetric geometries resolve deterministically instead of by
     floating-point noise in the trig evaluations.
     """
-    # channel imports this module, so pull the loss model in lazily
-    from .channel import power_loss_linear
-
     uav_positions = tuple(uav_positions)
     if not uav_positions:
         raise ValueError("uav_positions must be non-empty")

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import LOG2E, RateEstimate
+from ..rates import RateEstimate, _logdet2_quadratic, _rate_draws
 from ..scenario import Scenario
 
 
@@ -23,11 +23,6 @@ def baseline_power_split(bob_antennas: int, eve_antennas: int) -> float:
     if bob_antennas < 1 or eve_antennas < 1:
         raise ValueError("antenna counts must be positive")
     return bob_antennas / (bob_antennas + eve_antennas)
-
-
-def _batch_logdet2(a: np.ndarray) -> np.ndarray:
-    _, logabs = np.linalg.slogdet(a)
-    return logabs * LOG2E
 
 
 def baseline_null_space(scenario: Scenario, tau, samples: int,
@@ -55,6 +50,11 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
+    # powers per right-singular direction of the user channel: the signal on
+    # its nb row-space directions, the noise on the rest (its null space)
+    row_space = np.arange(n_uavs) < nb
+    p_sig = np.where(row_space, c_sig, 0.0)
+    p_an = np.where(row_space, 0.0, c_an)
     noise = scenario.noise_w
     streams = rng.spawn(scenario.n_slots)
 
@@ -65,17 +65,13 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
         h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
 
-        # row-space/null-space split of the user channel, one SVD per draw
-        _, sv, vh = np.linalg.svd(h_bob, full_matrices=True)
-        r_bob = np.sum(np.log1p(c_sig * sv ** 2 / noise), axis=1) * LOG2E
-
-        row_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, :nb, :].conj(), optimize=True)
-        null_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, nb:, :].conj(), optimize=True)
-        sig_cov = c_sig * np.einsum("mer,mfr->mef", row_mix, row_mix.conj(), optimize=True)
-        an_cov = c_an * np.einsum("mer,mfr->mef", null_mix, null_mix.conj(), optimize=True)
-        idx = np.arange(ne)
-        an_cov[:, idx, idx] += noise
-        r_eve = _batch_logdet2(sig_cov + an_cov) - _batch_logdet2(an_cov)
+        # the user hears no noise, so its rate is that of c_sig * H_b H_b^H;
+        # the eavesdropper's channel, rotated into the user's right-singular
+        # basis (one SVD per draw), sees both powers as diagonal
+        _, _, vh = np.linalg.svd(h_bob, full_matrices=True)
+        r_bob = _logdet2_quadratic(h_bob, np.full(n_uavs, c_sig), noise)
+        h_rot = np.einsum("mel,mrl->mer", h_eve, vh.conj(), optimize=True)
+        r_eve = _rate_draws(h_rot, p_sig, p_an, noise)
 
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())

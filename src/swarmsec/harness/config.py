@@ -6,6 +6,7 @@ an experiment's numeric output; see the README for the key reference.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,9 +70,26 @@ class ScenarioConfig:
     validate_p_s_dbm: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
 
     def __post_init__(self):
-        if self.environment != "custom":
-            environment_preset(self.environment)  # fail fast on unknown names
-        elif self.eta_los_db is None or self.eta_nlos_db is None:
+        for name in ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"):
+            if not isinstance(getattr(self, name), (list, tuple)) or not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty list")
+        for name in ("validate_p_a_dbm", "validate_p_s_dbm"):
+            for v in getattr(self, name):
+                _as_float(name, v)
+        if self.sweep_variable not in SWEEPABLE:
+            raise ValueError(f"sweep_variable must be one of {SWEEPABLE}, "
+                             f"got {self.sweep_variable!r}")
+        self.sweep_values = [_coerce(self.sweep_variable, v) for v in self.sweep_values]
+        self._check_scalars()
+        for v in self.sweep_values:  # each sweep point must load too
+            stepped = copy.copy(self)
+            setattr(stepped, self.sweep_variable, v)
+            stepped._check_scalars()
+
+    def _check_scalars(self) -> None:
+        """Range checks of the scalar fields, the budgets and the environment."""
+        if self.environment == "custom" and (self.eta_los_db is None
+                                             or self.eta_nlos_db is None):
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
         for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas",
                      "eve_grid_points", "mc_samples", "baseline_samples",
@@ -80,9 +98,6 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if int(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
-        if self.sweep_variable not in SWEEPABLE:
-            raise ValueError(f"sweep_variable must be one of {SWEEPABLE}, "
-                             f"got {self.sweep_variable!r}")
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
             raise ValueError("altitudes must satisfy 0 < altitude_min_m <= altitude_max_m")
         for name in ("cell_size_m", "eve_ring_radius_m"):
@@ -90,12 +105,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.hover_radius_m >= 0:
             raise ValueError("hover_radius_m must be nonnegative")
-        for name in ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"):
-            if not isinstance(getattr(self, name), (list, tuple)) or not getattr(self, name):
-                raise ValueError(f"{name} must be a non-empty list")
-        for name in ("validate_p_a_dbm", "validate_p_s_dbm"):
-            for v in getattr(self, name):
-                _as_float(name, v)
+        self.budgets()
+        self.environment_params()
 
     def environment_params(self) -> EnvironmentParams:
         if self.environment == "custom":
@@ -137,33 +148,36 @@ def _as_float(name: str, v) -> float:
     if not isinstance(v, bool):
         try:
             return float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(f"{name} must be a number, got {v!r}")
+
+
+def _coerce(name: str, v):
+    """A value for config field ``name``, converted to the field's type."""
+    kind = _FIELD_TYPES[name]
+    if kind == "int":
+        return _as_int(name, v)
+    if kind == "float":
+        return _as_float(name, v)
+    if kind == "float | None":
+        return None if v is None else _as_float(name, v)
+    if kind == "str" and not isinstance(v, str):
+        raise ValueError(f"{name} must be a string, got {v!r}")
+    return v
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a config from a plain dict, rejecting unknown keys."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(str(k) for k in raw if k not in _FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    coerced = {}
-    for f in dataclasses.fields(ScenarioConfig):
-        if f.name not in raw:
-            continue
-        v = raw[f.name]
-        if f.type == "int":
-            coerced[f.name] = _as_int(f.name, v)
-        elif f.type == "float":
-            coerced[f.name] = _as_float(f.name, v)
-        elif f.type == "float | None":
-            coerced[f.name] = None if v is None else _as_float(f.name, v)
-        else:
-            coerced[f.name] = v
-    return ScenarioConfig(**coerced)
+    return ScenarioConfig(**{name: _coerce(name, v) for name, v in raw.items()})
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -192,14 +192,6 @@ def _run_baseline(config: ScenarioConfig, jobs: int):
     return header, rows, []
 
 
-def _coerce_sweep_value(variable: str, value):
-    if variable == "n_uavs":
-        return int(value)
-    if variable == "environment":
-        return str(value)
-    return float(value)
-
-
 def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
     """Adapt a schedule to a new swarm size; added members start silent."""
     carried = prev.copy()
@@ -227,9 +219,8 @@ def _run_sweep(config: ScenarioConfig, jobs: int):
     variable = config.sweep_variable
     rows = []
     prev_solution = None  # (schedule, tau) at the previous sweep value
-    for raw in config.sweep_values:
+    for value in config.sweep_values:
         start_time = time.perf_counter()
-        value = _coerce_sweep_value(variable, raw)
         stepped = dataclasses.replace(config, **{variable: value})
         scenario = generate_topology(stepped, config.seed)
 

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import NumericalError
-from .rates import (LOG2E, AuxVariables, _check_aux, _check_pair, _check_term_inputs,
-                    _col, _lane_stack, _secrecy_rate, per_slot_secrecy, rate_term,
-                    secrecy_throughput_closed_form, solve_fixed_point)
+from .rates import (LOG2E, AuxVariables, _check_pair, _lane_stack, _log_slope,
+                    _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
+                    solve_fixed_point)
 from .scenario import PowerSchedule, Scenario
 
 
@@ -52,32 +52,7 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
 
 
 # ---------------------------------------------------------------------------
-# surrogate pieces
-
-def rate_term_gradient(p, n_antennas, losses, aux, noise: float) -> np.ndarray:
-    """Gradient of ``rate_term`` in the powers, elementwise (bits/s/Hz per W).
-
-    Batched like ``rate_term``.
-    """
-    p, losses = _check_term_inputs(p, losses, noise)
-    aux = _check_aux(aux)
-    c = _col(n_antennas) / (noise * _col(np.exp(aux)))
-    scaled = c / losses
-    return LOG2E * scaled / (1.0 + scaled * p)
-
-
-def rate_term_tangent(p, n_antennas, losses, aux, noise: float, anchor_p):
-    """First-order expansion of ``rate_term`` around ``anchor_p``.
-
-    The term is concave in the powers, so the tangent is a global upper bound,
-    exact at the anchor. Batched like ``rate_term``.
-    """
-    p = np.asarray(p, dtype=float)
-    anchor_p = np.asarray(anchor_p, dtype=float)
-    base = rate_term(anchor_p, n_antennas, losses, aux, noise)
-    grad = rate_term_gradient(anchor_p, n_antennas, losses, aux, noise)
-    return base + np.sum(grad * (p - anchor_p), axis=-1)
-
+# fixed-aux objective
 
 def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau,
                       aux: AuxVariables) -> float:
@@ -85,24 +60,6 @@ def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau,
     tau = _check_pair(scenario, schedule, tau)
     return float(np.dot(tau, per_slot_secrecy(scenario, schedule, aux))
                  / scenario.budgets.t_period_s)
-
-
-def sca_surrogate_value(scenario: Scenario, schedule: PowerSchedule, tau,
-                        aux: AuxVariables, anchor: PowerSchedule) -> float:
-    """Value of the concave power-block surrogate at ``schedule``.
-
-    The two rate terms that would make the objective a difference of concave
-    functions (bob_an and eve_total) are replaced by tangents at the anchor
-    schedule, which makes the surrogate concave and a global lower bound on
-    the fixed-aux objective that is exact at the anchor.
-    """
-    tau = _check_pair(scenario, schedule, tau)
-    p, n, q = _lane_stack(scenario, schedule)
-    anchor_p, _, _ = _lane_stack(scenario, anchor)
-    a, noise = aux.stack(), scenario.noise_w
-    terms = rate_term(p, n, q, a, noise)
-    terms[1:3] = rate_term_tangent(p[1:3], n[1:3], q[1:3], a[1:3], noise, anchor_p[1:3])
-    return float(np.dot(tau, _secrecy_rate(terms)) / scenario.budgets.t_period_s)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +84,7 @@ def _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max):
     if np.any(coupled):
         kappa = gamma_b + gamma_e + lam
         c2 = kappa * beta_b * beta_e
-        c1 = kappa * (beta_b + beta_e) - 2.0 * LOG2E * beta_b * beta_e
+        c1 = kappa * (beta_b + beta_e) - 2.0 * beta_b * beta_e * LOG2E
         c0 = kappa - LOG2E * (beta_b + beta_e)
         disc = np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)
         denom = c1 + np.sqrt(disc)
@@ -180,8 +137,8 @@ def _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max,
     active = tau > 0.0
     if not active.any():
         return 0.0
-    gu = LOG2E * beta_b / (1.0 + beta_b * u) - gamma_e - lam[:, None]
-    ga = LOG2E * beta_e / (1.0 + beta_e * a) - gamma_b
+    gu = _log_slope(beta_b, u) - gamma_e - lam[:, None]
+    ga = _log_slope(beta_e, a) - gamma_b
     # unit-step projection; the feasible interval of u is [a, p_max], of a is [0, u]
     r_u = np.abs(u - np.clip(u + gu, a, p_max))
     r_a = np.abs(a - np.clip(a + ga, 0.0, u))
@@ -205,17 +162,14 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
     """
     tau = _check_pair(scenario, schedule_prev, tau_prev)
     b = scenario.budgets
-    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
 
-    # coefficient grids, shaped (L, N)
-    qb = scenario.loss_bob.T
-    qe = scenario.loss_eve.T
-    beta_b = nb / (qb * noise * np.exp(aux.bob_total)[None, :])
-    beta_e = ne / (qe * noise * np.exp(aux.eve_an)[None, :])
-    cb = nb / (noise * np.exp(aux.bob_an))[None, :] / qb
-    ce = ne / (noise * np.exp(aux.eve_total))[None, :] / qe
-    gamma_b = LOG2E * cb / (1.0 + cb * schedule_prev.p_a)
-    gamma_e = LOG2E * ce / (1.0 + ce * schedule_prev.p_u)
+    # per-term coefficients and the anchor's slopes, (4, N, L) in TERMS order;
+    # the exact terms keep their coefficient (beta), the linearized ones their
+    # slope (gamma), each as an (L, N) grid
+    p, n, q = _lane_stack(scenario, schedule_prev)
+    coef = _snr_coefficient(n, q, aux.stack(), scenario.noise_w)
+    slope = _log_slope(coef, p)
+    beta_b, gamma_b, gamma_e, beta_e = coef[0].T, slope[1].T, slope[2].T, coef[3].T
 
     u, a, lam = _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, b.p_max_w, b.e_max_j)
 

@@ -95,6 +95,16 @@ def _out(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
+def _snr_coefficient(n_antennas, losses, aux, noise: float) -> np.ndarray:
+    """Per-transmitter SNR per watt of a rate term, n / (noise * e^aux * loss)."""
+    return _col(n_antennas) / (losses * noise * _col(np.exp(aux)))
+
+
+def _log_slope(coef, p) -> np.ndarray:
+    """Slope of log2(1 + coef * p) in p."""
+    return LOG2E * coef / (1.0 + coef * p)
+
+
 def rate_term(p, n_antennas, losses, aux, noise: float):
     """Deterministic-equivalent rate term at auxiliary value ``aux`` (bits/s/Hz).
 
@@ -107,9 +117,18 @@ def rate_term(p, n_antennas, losses, aux, noise: float):
     p, losses = _check_term_inputs(p, losses, noise)
     aux = _check_aux(aux)
     n = np.asarray(n_antennas, dtype=float)
-    snr = _col(n) * p / (losses * noise * _col(np.exp(aux)))
+    snr = _snr_coefficient(n, losses, aux, noise) * p
     logsum = np.sum(np.log1p(snr), axis=-1) * LOG2E
     return _out(logsum + n * LOG2E * (aux - 1.0 + np.exp(-aux)))
+
+
+def rate_term_gradient(p, n_antennas, losses, aux, noise: float) -> np.ndarray:
+    """Gradient of ``rate_term`` in the powers, elementwise (bits/s/Hz per W).
+
+    Batched like ``rate_term``.
+    """
+    p, losses = _check_term_inputs(p, losses, noise)
+    return _log_slope(_snr_coefficient(n_antennas, losses, _check_aux(aux), noise), p)
 
 
 def _residual(x, n, aux, noise):
@@ -189,13 +208,24 @@ def _logdet2_quadratic(h: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray
     return logabs * LOG2E
 
 
+def _rate_draws(h: np.ndarray, p_num: np.ndarray, p_den: np.ndarray,
+                noise: float) -> np.ndarray:
+    """Per-draw rate log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1).
+
+    ``h`` is a batch of channels (M, Nq, L); the powers are diagonal over its
+    L columns. Evaluated as the difference of two log-dets against the noise
+    floor.
+    """
+    return (_logdet2_quadratic(h, p_num + p_den, noise)
+            - _logdet2_quadratic(h, p_den, noise))
+
+
 def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
                     samples: int, rng: np.random.Generator) -> RateEstimate:
     """Monte Carlo ergodic rate of a receiver treating ``p_den`` power as interference.
 
     Per fading draw the rate is
-    log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1), evaluated through the
-    equivalent difference of two log-dets against the noise floor.
+    log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1), see ``_rate_draws``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -206,9 +236,7 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
         raise ValueError("p_num must be a nonnegative vector matching p_den")
 
     s = sample_small_scale(rng, n_antennas, losses.size, samples)
-    h = s / np.sqrt(losses)
-    vals = (_logdet2_quadratic(h, p_num + p_den, noise)
-            - _logdet2_quadratic(h, p_den, noise))
+    vals = _rate_draws(s / np.sqrt(losses), p_num, p_den, noise)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return RateEstimate(mean=mean, std_error=stderr, samples=samples)

@@ -27,6 +27,9 @@ class Budgets:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.tau_max_s > self.t_total_s:
             raise ValueError("per-slot duration cap cannot exceed the total transmission time")
+        if self.t_period_s < self.t_total_s:
+            raise ValueError("the scheduling period cannot be shorter than the total "
+                             "transmission time")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ import numpy as np
 
 from swarmsec.harness.config import ScenarioConfig
 from swarmsec.harness.experiments import run_experiment
-from swarmsec.optimizer import (per_slot_secrecy, rate_term_gradient,
-                                solve_aux_block_max, solve_aux_block_min,
+from swarmsec.optimizer import (solve_aux_block_max, solve_aux_block_min,
                                 solve_duration_lp, solve_power_subproblem)
 from swarmsec.rates import (LOG2E, AuxVariables, fixed_point_residual,
-                            rate_term, solve_fixed_point)
+                            per_slot_secrecy, rate_term, rate_term_gradient,
+                            solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule
 
 from conftest import small_scenario

@@ -53,18 +53,37 @@ def test_path_loss_overhead_suburban_frozen_value():
 
 
 def test_path_loss_matches_inline_formula():
-    # independent recomputation of the sigmoid-blend model at a generic link
+    # independent recomputation of the sigmoid-blend model from the slant
+    # range d and the elevation angle rho written out for each link
     env = environment_preset("urban")
-    uav = Position3D(60.0, -25.0, 130.0)
-    ground = Position3D(10.0, 15.0, 0.0)
-    d = math.sqrt(50.0 ** 2 + 40.0 ** 2 + 130.0 ** 2)
-    rho = math.degrees(math.asin(130.0 / d))
-    expected = ((env.eta_los_db - env.eta_nlos_db)
-                / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
-                + 20.0 * math.log10(d)
-                + 20.0 * math.log10(4.0 * math.pi * 2.4e9 / 3.0e8)
-                + env.eta_nlos_db)
-    assert path_loss_db(env, uav, ground) == pytest.approx(expected, rel=1e-14)
+    origin = Position3D(0.0, 0.0, 0.0)
+    d_generic = math.sqrt(50.0 ** 2 + 40.0 ** 2 + 130.0 ** 2)
+    links = [  # (uav, ground, d, rho in degrees)
+        (Position3D(60.0, -25.0, 130.0), Position3D(10.0, 15.0, 0.0), d_generic,
+         math.degrees(math.asin(130.0 / d_generic))),
+        # 30-40 horizontal legs and 120 altitude: sqrt(900+1600+14400) = 130
+        (Position3D(30.0, 40.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
+        # the 5-12-13 triangle scaled by 10
+        (Position3D(0.0, 50.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
+        # straight overhead: elevation 90 degrees
+        (Position3D(7.0, -3.0, 150.0), Position3D(7.0, -3.0, 0.0), 150.0, 90.0),
+    ]
+    for uav, ground, d, rho in links:
+        expected = ((env.eta_los_db - env.eta_nlos_db)
+                    / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
+                    + 20.0 * math.log10(d)
+                    + 20.0 * math.log10(4.0 * math.pi * 2.4e9 / 3.0e8)
+                    + env.eta_nlos_db)
+        assert path_loss_db(env, uav, ground) == pytest.approx(expected, rel=1e-14)
+
+
+def test_path_loss_rejects_bad_links():
+    env = environment_preset("urban")
+    grounded = (Position3D(0.0, 0.0, 0.0), Position3D(1.0, 0.0, 0.0))
+    off_ground = (Position3D(0.0, 0.0, 120.0), Position3D(1.0, 0.0, 5.0))
+    for uav, ground in (grounded, off_ground):
+        with pytest.raises(ValueError):
+            path_loss_db(env, uav, ground)
 
 
 def test_path_loss_increases_with_distance_at_fixed_elevation():
@@ -84,6 +103,16 @@ def test_higher_elevation_reduces_excess_loss():
     d = math.hypot(120.0, 50.0)
     high = path_loss_db(env, Position3D(30.0, 0.0, math.sqrt(d * d - 900.0)), ground)
     assert high < low
+    # and over random pairs of altitudes on one slant range
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        d = rng.uniform(100.0, 600.0)
+        z_low = rng.uniform(20.0, 0.9 * d)
+        z_high = rng.uniform(z_low + 1.0, d)
+        low = path_loss_db(env, Position3D(math.sqrt(d * d - z_low ** 2), 0.0, z_low), ground)
+        high = path_loss_db(env, Position3D(0.0, math.sqrt(d * d - z_high ** 2), z_high),
+                            ground)
+        assert high < low
 
 
 def test_power_loss_linear_matches_db():

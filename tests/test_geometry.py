@@ -1,13 +1,16 @@
-"""Geometry: slant ranges, elevation angles, worst-case eavesdropper placement."""
+"""Geometry: slant ranges, elevation angles, worst-case eavesdropper placement.
+
+The slant range and the elevation angle of a link are computed inside
+``path_loss_db``; these tests read them back through the loss it returns.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from swarmsec.channel import environment_preset, power_loss_linear
-from swarmsec.geometry import (Position3D, SlotGeometry, distance,
-                               elevation_angle_deg, worst_case_eve_position)
+from swarmsec.channel import environment_preset, path_loss_db, power_loss_linear
+from swarmsec.geometry import Position3D, SlotGeometry, worst_case_eve_position
 
 
 def test_position_rejects_negative_altitude():
@@ -34,40 +37,56 @@ def test_slot_requires_ground_receivers():
         SlotGeometry((uav,), Position3D(0.0, 0.0, 5.0), Position3D(1.0, 0.0, 0.0))
 
 
+def _free_space_db(d):
+    return 20.0 * math.log10(d) + 20.0 * math.log10(4.0 * math.pi * 2.4e9 / 3.0e8)
+
+
+def _loss_from_range_and_elevation(env, d, rho_deg):
+    """Sigmoid-blend path loss written out from a known slant range and elevation."""
+    return ((env.eta_los_db - env.eta_nlos_db)
+            / (1.0 + env.a * math.exp(-env.b * (rho_deg - env.a)))
+            + _free_space_db(d) + env.eta_nlos_db)
+
+
 def test_distance_pythagorean_triple():
     # 30-40 horizontal legs and 120 altitude: sqrt(900+1600+14400) = 130 exactly
+    env = environment_preset("urban")
     uav = Position3D(30.0, 40.0, 120.0)
-    assert distance(uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(130.0, abs=1e-12)
+    expected = _loss_from_range_and_elevation(env, 130.0, math.degrees(math.asin(12.0 / 13.0)))
+    assert path_loss_db(env, uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_elevation_angle_oracle():
     # asin(120/130) for the 5-12-13 triangle scaled by 10
+    env = environment_preset("urban")
     uav = Position3D(0.0, 50.0, 120.0)
-    expected = math.degrees(math.asin(12.0 / 13.0))
-    assert elevation_angle_deg(uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(
-        expected, abs=1e-12)
+    expected = _loss_from_range_and_elevation(env, 130.0, math.degrees(math.asin(12.0 / 13.0)))
+    assert path_loss_db(env, uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_elevation_overhead_is_90():
+    env = environment_preset("urban")
     uav = Position3D(7.0, -3.0, 150.0)
-    assert elevation_angle_deg(uav, Position3D(7.0, -3.0, 0.0)) == pytest.approx(90.0)
+    expected = _loss_from_range_and_elevation(env, 150.0, 90.0)
+    assert path_loss_db(env, uav, Position3D(7.0, -3.0, 0.0)) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_elevation_monotone_in_horizontal_offset():
+    # with the free-space term of the known slant range taken off, what is left
+    # depends on the elevation only, and grows as the elevation falls
+    env = environment_preset("highrise-urban")
     rng = np.random.default_rng(3)
     ground = Position3D(0.0, 0.0, 0.0)
     for _ in range(50):
         z = rng.uniform(50.0, 300.0)
         r1 = rng.uniform(1.0, 500.0)
         r2 = r1 + rng.uniform(1.0, 500.0)
-        near = elevation_angle_deg(Position3D(r1, 0.0, z), ground)
-        far = elevation_angle_deg(Position3D(r2, 0.0, z), ground)
-        assert near > far
-
-
-def test_distance_rejects_grounded_transmitter():
-    with pytest.raises(ValueError):
-        distance(Position3D(0.0, 0.0, 0.0), Position3D(1.0, 0.0, 0.0))
+        near = path_loss_db(env, Position3D(r1, 0.0, z), ground) - _free_space_db(math.hypot(r1, z))
+        far = path_loss_db(env, Position3D(r2, 0.0, z), ground) - _free_space_db(math.hypot(r2, z))
+        assert near < far
 
 
 def test_eve_placement_lies_on_ring():

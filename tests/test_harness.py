@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsec.channel import sample_small_scale, substream
 from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
-from swarmsec.harness.config import (ScenarioConfig, config_from_dict,
+from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
 from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
@@ -71,6 +73,16 @@ BAD_CONFIG_VALUES = [
     {"validate_p_a_dbm": "abc"},
     {"validate_p_s_dbm": [0.0, "x"]},
     {"p_max_dbm": "abc"},
+    {"sweep_variable": "n_uavs", "sweep_values": [6.7, True]},
+    {"sweep_values": [50, "abc"]},
+    {"sweep_variable": "environment", "sweep_values": ["urban", "atlantis"]},
+    {"e_max_j": -5},
+    {"tau_max_s": 200},
+    {"t_period_s": 50.0},
+    {"carrier_freq_hz": -1},
+    {"p_max_dbm": float("nan")},
+    {"p_max_dbm": 1e308},  # 10**(p/10) overflows a float
+    {"p_max_dbm": 10 ** 400},  # no float holds it
 ]
 
 
@@ -88,6 +100,26 @@ def test_config_rejects_bad_values():
         ScenarioConfig(n_uavs=0)
     with pytest.raises(ValueError):
         ScenarioConfig(altitude_min_m=200.0, altitude_max_m=100.0)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=4), st.sampled_from(["5", "1e3", "urban", "custom"]),
+                    st.sampled_from(SWEEPABLE))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+_KEYS = st.one_of(st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)]),
+                  st.text(max_size=4), st.integers())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=4))
+def test_config_from_dict_loads_or_raises_value_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    cfg.budgets()
+    cfg.environment_params()
 
 
 def test_config_custom_environment():
@@ -178,6 +210,48 @@ def test_baseline_deterministic_given_stream():
     a = baseline_null_space(scenario, np.ones(2), 300, substream(3, "b"))
     b = baseline_null_space(scenario, np.ones(2), 300, substream(3, "b"))
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+def _svd_covariance_baseline(scenario, tau, samples, rng, signal_fraction=None):
+    """The null-space baseline written with explicit signal and noise covariances."""
+    n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas
+    phi = nb / (nb + ne) if signal_fraction is None else signal_fraction
+    pooled = n_uavs * scenario.budgets.p_max_w
+    c_sig, c_an = phi * pooled / nb, (1.0 - phi) * pooled / (n_uavs - nb)
+    noise = scenario.noise_w
+    diffs, variances = [], []
+    for n, stream in enumerate(rng.spawn(scenario.n_slots)):
+        h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
+        h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
+        _, sv, vh = np.linalg.svd(h_bob, full_matrices=True)
+        r_bob = np.sum(np.log1p(c_sig * sv ** 2 / noise), axis=1) * LOG2E
+        row_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, :nb, :].conj())
+        null_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, nb:, :].conj())
+        sig_cov = c_sig * np.einsum("mer,mfr->mef", row_mix, row_mix.conj())
+        an_cov = c_an * np.einsum("mer,mfr->mef", null_mix, null_mix.conj())
+        an_cov += noise * np.eye(ne)
+        r_eve = (np.linalg.slogdet(sig_cov + an_cov)[1]
+                 - np.linalg.slogdet(an_cov)[1]) * LOG2E
+        vals = r_bob - r_eve
+        diffs.append(vals.mean())
+        variances.append(vals.var(ddof=1) / samples)
+    period = scenario.budgets.t_period_s
+    return (float(np.dot(tau, np.maximum(diffs, 0.0)) / period),
+            float(math.sqrt(np.dot(tau ** 2, variances)) / period))
+
+
+def test_baseline_matches_svd_covariance_oracle():
+    for n_uavs, nb, ne, phi in ((4, 2, 2, None), (7, 3, 3, 0.4), (9, 5, 3, None)):
+        cfg = tiny_config(n_uavs=n_uavs, bob_antennas=nb, eve_antennas=ne)
+        scenario = generate_topology(cfg, seed=n_uavs)
+        tau = np.array([1.0, 2.0])
+        est = baseline_null_space(scenario, tau, 300, substream(n_uavs, "b"),
+                                  signal_fraction=phi)
+        mean, stderr = _svd_covariance_baseline(scenario, tau, 300,
+                                                substream(n_uavs, "b"), phi)
+        assert mean > 0.0
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
 
 def test_baseline_full_signal_matches_independent_estimator():
@@ -409,7 +483,7 @@ def test_cli_optimize_runs(tmp_path, capsys):
     assert "optimize" in capsys.readouterr().out
 
 
-def test_cli_sweep_value_override(tmp_path):
+def test_cli_sweep_value_override(tmp_path, capsys):
     cfg_path = _write_tiny_yaml(tmp_path)
     out_dir = tmp_path / "sweep"
     rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir),
@@ -418,6 +492,13 @@ def test_cli_sweep_value_override(tmp_path):
     cols = _read_csv(out_dir / "sweep.csv")
     assert cols["sweep_value"] == ["50", "150", "250"]
     assert cols["sweep_variable"] == ["e_max_j"] * 3
+    # a value of the wrong type fails at load, with the config's own message
+    bad_dir = tmp_path / "bad"
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(bad_dir),
+                 "--variable", "n_uavs", "--values", "3,6.7"]) == 1
+    assert "n_uavs must be an integer" in capsys.readouterr().err
+    assert not bad_dir.exists()
 
 
 def test_cli_seed_override_changes_output(tmp_path):

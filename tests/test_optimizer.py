@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from swarmsec.optimizer import (IterationRecord, SolutionTrace,
-                                audit_feasibility, per_slot_secrecy,
-                                rate_term_gradient, rate_term_tangent, run_bcd,
-                                sca_surrogate_value, solve_aux_block_max,
+                                audit_feasibility, run_bcd, solve_aux_block_max,
                                 solve_aux_block_min, solve_duration_lp,
                                 solve_power_subproblem, throughput_at_aux)
-from swarmsec.rates import (LOG2E, AuxVariables, rate_term,
-                            secrecy_throughput_closed_form, solve_fixed_point)
+from swarmsec.rates import (LOG2E, AuxVariables, per_slot_secrecy, rate_term,
+                            rate_term_gradient, secrecy_throughput_closed_form,
+                            solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 from conftest import (default_budgets, feasible_schedule, make_slot,
@@ -24,6 +23,34 @@ def _aux_from(schedule, tau, scenario):
     bob_total, eve_an = solve_aux_block_min(schedule, tau, scenario)
     bob_an, eve_total = solve_aux_block_max(schedule, tau, scenario)
     return AuxVariables(bob_total, bob_an, eve_total, eve_an)
+
+
+def rate_term_tangent(p, n_antennas, losses, aux, noise, anchor_p):
+    """First-order expansion of ``rate_term`` around ``anchor_p``.
+
+    The term is concave in the powers, so the tangent is a global upper bound,
+    exact at the anchor.
+    """
+    base = rate_term(anchor_p, n_antennas, losses, aux, noise)
+    grad = rate_term_gradient(anchor_p, n_antennas, losses, aux, noise)
+    return base + np.sum(grad * (np.asarray(p) - anchor_p), axis=-1)
+
+
+def sca_surrogate_value(scenario, schedule, tau, aux, anchor):
+    """Value of the concave power-block surrogate at ``schedule``.
+
+    The two rate terms that would make the fixed-aux objective a difference
+    of concave functions (bob_an and eve_total) are replaced by tangents at
+    the anchor schedule: a concave global lower bound, exact at the anchor.
+    """
+    nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
+    qb, qe = scenario.loss_bob, scenario.loss_eve
+    per_slot = (rate_term(schedule.p_u.T, nb, qb, aux.bob_total, noise)
+                - rate_term_tangent(schedule.p_a.T, nb, qb, aux.bob_an, noise, anchor.p_a.T)
+                - rate_term_tangent(schedule.p_u.T, ne, qe, aux.eve_total, noise,
+                                    anchor.p_u.T)
+                + rate_term(schedule.p_a.T, ne, qe, aux.eve_an, noise))
+    return float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
 
 
 # ---------------------------------------------------------------------------
