@@ -72,16 +72,16 @@ def watts_to_dbm(watts: float) -> float:
 def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
     """Air-to-ground path loss in dB between one transmitter and one ground node.
 
-    ``uav`` (airborne) and ``ground`` (z = 0) are points with x, y, z in meters,
-    e.g. ``Position3D``. The loss is a function of the slant range d and the
+    ``uav`` is an airborne (x, y, z) point and ``ground`` an (x, y) point on
+    the ground, in meters. The loss is a function of the slant range d and the
     elevation angle asin(z / d) in degrees.
     """
-    if uav.z <= 0.0:
-        raise ValueError(f"transmitter altitude must be positive, got {uav.z}")
-    if ground.z != 0.0:
-        raise ValueError(f"ground node must have z = 0, got {ground.z}")
-    d = math.sqrt(uav.z ** 2 + (uav.x - ground.x) ** 2 + (uav.y - ground.y) ** 2)
-    rho = math.degrees(math.asin(uav.z / d))
+    x, y, z = uav
+    gx, gy = ground
+    if z <= 0.0:
+        raise ValueError(f"transmitter altitude must be positive, got {z}")
+    d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
+    rho = math.degrees(math.asin(z / d))
     excess_span = env.eta_los_db - env.eta_nlos_db
     blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
     free_space = 20.0 * math.log10(d) + 20.0 * math.log10(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import RateEstimate, _logdet2_quadratic, _rate_draws
+from ..rates import RateEstimate, _check_tau, _logdet2_quadratic, _rate_draws
 from ..scenario import Scenario
 
 
@@ -35,9 +35,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     ``(1 - phi) * L * p_max`` equally over its null space. Negative per-slot
     secrecy rates are clipped to zero before duration weighting.
     """
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (scenario.n_slots,):
-        raise ValueError("tau must have one entry per slot")
+    tau = _check_tau(scenario, tau)
     if samples < 2:
         raise ValueError("need at least two samples")
     n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas

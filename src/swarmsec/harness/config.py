@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,11 +92,14 @@ class ScenarioConfig:
         if self.environment == "custom" and (self.eta_los_db is None
                                              or self.eta_nlos_db is None):
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
-        for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas",
-                     "eve_grid_points", "mc_samples", "baseline_samples",
-                     "bcd_max_iter", "n_topologies", "replicates"):
+        for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas", "mc_samples",
+                     "baseline_samples", "bcd_max_iter", "n_topologies", "replicates"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if int(self.eve_grid_points) < 8:
+            raise ValueError("eve_grid_points must be at least 8")
+        if not self.bcd_epsilon > 0:
+            raise ValueError("bcd_epsilon must be positive")
         if int(self.seed) < 0:
             raise ValueError("seed must be nonnegative")
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
@@ -144,13 +148,16 @@ def _as_int(name: str, v) -> int:
 
 
 def _as_float(name: str, v) -> float:
-    """A real config value; numeric strings pass, booleans do not."""
+    """A finite real config value; numeric strings pass, booleans do not."""
     if not isinstance(v, bool):
         try:
-            return float(v)
+            f = float(v)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{name} must be a number, got {v!r}")
+        else:
+            if math.isfinite(f):
+                return f
+    raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 def _coerce(name: str, v):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..channel import substream
-from ..geometry import Position3D, SlotGeometry, worst_case_eve_position
+from ..geometry import worst_case_eve_position
 from ..scenario import Scenario
 from .config import ScenarioConfig
 
@@ -26,22 +28,21 @@ def generate_topology(config: ScenarioConfig, seed: int | None = None) -> Scenar
 
     users = substream(seed, "users").uniform(0.0, config.cell_size_m,
                                              size=(config.n_slots, 2))
-    slots = []
+    uav_xyz = np.empty((config.n_slots, config.n_uavs, 3))
+    eve_xy = np.empty_like(users)
     for n in range(config.n_slots):
-        bob = Position3D(float(users[n, 0]), float(users[n, 1]), 0.0)
-        uavs = []
+        bx, by = users[n].tolist()
         for l in range(config.n_uavs):
             rng = substream(seed, "uav", n, l)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radius = config.hover_radius_m * math.sqrt(rng.uniform())
             altitude = rng.uniform(config.altitude_min_m, config.altitude_max_m)
-            uavs.append(Position3D(bob.x + radius * math.cos(angle),
-                                   bob.y + radius * math.sin(angle), altitude))
-        eve = worst_case_eve_position(bob, config.eve_ring_radius_m, uavs, env,
-                                      config.eve_grid_points)
-        slots.append(SlotGeometry(tuple(uavs), bob, eve, slot_index=n))
+            uav_xyz[n, l] = (bx + radius * math.cos(angle),
+                             by + radius * math.sin(angle), altitude)
+        eve_xy[n] = worst_case_eve_position(users[n], config.eve_ring_radius_m,
+                                            uav_xyz[n], env, config.eve_grid_points)
 
-    return Scenario(env=env, slots=tuple(slots),
+    return Scenario(env=env, uav_xyz=uav_xyz, bob_xy=users, eve_xy=eve_xy,
                     bob_antennas=config.bob_antennas,
                     eve_antennas=config.eve_antennas,
                     noise_w=config.noise_w(),

@@ -22,6 +22,14 @@ from .rates import (LOG2E, AuxVariables, _check_pair, _lane_stack, _log_slope,
                     solve_fixed_point)
 from .scenario import PowerSchedule, Scenario
 
+#: KKT residual the power block must reach (and is audited against)
+POWER_KKT_TOL = 1e-8
+#: relative objective decrease beyond which an iteration is flagged non-monotone
+MONOTONE_TOL = 1e-8
+#: relative fixed-aux objective gain below which the SCA re-anchoring stops
+SCA_INNER_TOL = 1e-7
+#: cap on the SCA re-anchored solves per power block
+SCA_MAX_INNER = 200
 
 # ---------------------------------------------------------------------------
 # auxiliary-variable blocks
@@ -150,7 +158,7 @@ def _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max,
 
 
 def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSchedule,
-                           scenario: Scenario, tol: float = 1e-8) -> PowerSchedule:
+                           scenario: Scenario) -> PowerSchedule:
     """Maximize the linearized power surrogate under power and energy budgets.
 
     The surrogate keeps the scheduled user's total-power term and the
@@ -158,7 +166,7 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
     ``schedule_prev``. The problem separates across UAVs; each row is solved
     by bisection on its energy multiplier with closed-form slot solutions.
     Slots with zero duration keep their previous powers verbatim. Raises
-    NumericalError if the KKT residual audit exceeds ``tol``.
+    NumericalError if the KKT residual audit exceeds ``POWER_KKT_TOL``.
     """
     tau = _check_pair(scenario, schedule_prev, tau_prev)
     b = scenario.budgets
@@ -175,9 +183,9 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
 
     residual = _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau,
                                    b.p_max_w, b.e_max_j, u, a, lam)
-    if residual > tol:
+    if residual > POWER_KKT_TOL:
         raise NumericalError("power block failed its KKT audit",
-                             {"residual": residual, "tol": tol})
+                             {"residual": residual, "tol": POWER_KKT_TOL})
 
     idle = tau == 0.0
     if idle.any():
@@ -264,8 +272,7 @@ class SolutionTrace:
 
 
 def _power_sca_step(aux: AuxVariables, tau, schedule: PowerSchedule,
-                    scenario: Scenario, power_tol: float, inner_tol: float,
-                    max_inner: int) -> tuple[PowerSchedule, int]:
+                    scenario: Scenario) -> tuple[PowerSchedule, int]:
     """Successive convex approximation on the power block at fixed aux values.
 
     Repeatedly maximizes the linearized surrogate, re-anchoring at each new
@@ -277,10 +284,10 @@ def _power_sca_step(aux: AuxVariables, tau, schedule: PowerSchedule,
     """
     value = throughput_at_aux(scenario, schedule, tau, aux)
     inner = 0
-    for inner in range(1, max_inner + 1):
-        schedule = solve_power_subproblem(aux, tau, schedule, scenario, tol=power_tol)
+    for inner in range(1, SCA_MAX_INNER + 1):
+        schedule = solve_power_subproblem(aux, tau, schedule, scenario)
         new_value = throughput_at_aux(scenario, schedule, tau, aux)
-        if new_value - value <= inner_tol * (1.0 + abs(value)):
+        if new_value - value <= SCA_INNER_TOL * (1.0 + abs(value)):
             value = new_value
             break
         value = new_value
@@ -288,15 +295,13 @@ def _power_sca_step(aux: AuxVariables, tau, schedule: PowerSchedule,
 
 
 def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
-            epsilon: float = 1e-3, max_iter: int = 50, power_tol: float = 1e-8,
-            monotone_tol: float = 1e-8, inner_tol: float = 1e-7,
-            max_inner: int = 200) -> SolutionTrace:
+            epsilon: float = 1e-3, max_iter: int = 50) -> SolutionTrace:
     """Block-coordinate ascent from a feasible starting point.
 
     Stops once the fractional objective increase drops below ``epsilon``
     (with a 1e-12 floor on the denominator) or after ``max_iter`` iterations.
     Every iterate is audited for feasibility; an objective decrease beyond
-    ``monotone_tol`` relative is flagged in the iteration diagnostics rather
+    ``MONOTONE_TOL`` relative is flagged in the iteration diagnostics rather
     than raised, since the surrogate-ascent guarantee is exact only to solver
     tolerance.
     """
@@ -316,15 +321,14 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
     converged = False
     stop_reason = "max_iter"
     for _ in range(max_iter):
-        schedule, inner_iters = _power_sca_step(aux, tau, schedule, scenario,
-                                                power_tol, inner_tol, max_inner)
+        schedule, inner_iters = _power_sca_step(aux, tau, schedule, scenario)
         tau = solve_duration_lp(aux, schedule, scenario)
 
         r_new, aux_next, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
         r_clip = float(np.dot(tau, np.maximum(per_slot, 0.0))
                        / scenario.budgets.t_period_s)
         violations = audit_feasibility(scenario, schedule, tau)
-        non_monotone = r_new < r_prev - monotone_tol * (1.0 + abs(r_prev))
+        non_monotone = r_new < r_prev - MONOTONE_TOL * (1.0 + abs(r_prev))
         iterations.append(IterationRecord(
             objective=r_new,
             objective_clipped=r_clip,

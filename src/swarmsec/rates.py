@@ -242,16 +242,20 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     return RateEstimate(mean=mean, std_error=stderr, samples=samples)
 
 
-def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
+def _check_tau(scenario: Scenario, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
-    if schedule.shape != (scenario.n_uavs, scenario.n_slots):
-        raise ValueError(f"schedule shape {schedule.shape} does not match the scenario "
-                         f"({scenario.n_uavs} UAVs, {scenario.n_slots} slots)")
     if tau.shape != (scenario.n_slots,):
         raise ValueError(f"tau must have one entry per slot, got shape {tau.shape}")
     if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
         raise ValueError("durations must be nonnegative and finite")
     return tau
+
+
+def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
+    if schedule.shape != (scenario.n_uavs, scenario.n_slots):
+        raise ValueError(f"schedule shape {schedule.shape} does not match the scenario "
+                         f"({scenario.n_uavs} UAVs, {scenario.n_slots} slots)")
+    return _check_tau(scenario, tau)
 
 
 def _lane_stack(scenario: Scenario, schedule: PowerSchedule):
@@ -299,14 +303,12 @@ def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
 
 
 def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,
-                          samples: int, rng: np.random.Generator,
-                          clip: bool = False) -> RateEstimate:
+                          samples: int, rng: np.random.Generator) -> RateEstimate:
     """Monte Carlo average secrecy throughput over independent per-slot fading.
 
     Per slot the scheduled user's ergodic rate (artificial noise as
     interference) minus the eavesdropper's is estimated from ``samples``
-    draws; ``clip`` zeroes negative per-slot differences before duration
-    weighting. Standard errors propagate through the weighted sum.
+    draws. Standard errors propagate through the weighted sum.
     """
     tau = _check_pair(scenario, schedule, tau)
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
@@ -325,8 +327,6 @@ def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,
         diffs[i] = bob.mean - eve.mean
         variances[i] = bob.std_error ** 2 + eve.std_error ** 2
 
-    if clip:
-        diffs = np.maximum(diffs, 0.0)
     period = scenario.budgets.t_period_s
     mean = float(np.dot(tau, diffs) / period)
     stderr = float(math.sqrt(np.dot(tau ** 2, variances)) / period)

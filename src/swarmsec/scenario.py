@@ -1,4 +1,4 @@
-"""Problem instances: per-slot geometry, cached losses, budgets, power schedules."""
+"""Problem instances: node positions, cached losses, budgets, power schedules."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EnvironmentParams, power_loss_linear
-from .geometry import SlotGeometry
 
 
 @dataclass(frozen=True)
@@ -32,51 +31,66 @@ class Budgets:
                              "transmission time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One downlink instance: a swarm serving N users with an eavesdropper per slot.
 
-    The per-slot linear power losses toward the scheduled user (``loss_bob``)
-    and the eavesdropper (``loss_eve``) are precomputed as (N, L) arrays.
+    Node positions are arrays in meters: the swarm's transmitters ``uav_xyz``
+    (N, L, 3), one row of L members per slot, and the scheduled user
+    ``bob_xy`` and the eavesdropper ``eve_xy`` (N, 2) on the ground. The
+    per-slot linear power losses toward the user (``loss_bob``) and the
+    eavesdropper (``loss_eve``) are precomputed as (N, L) arrays.
     """
 
     env: EnvironmentParams
-    slots: tuple[SlotGeometry, ...]
+    uav_xyz: np.ndarray
+    bob_xy: np.ndarray
+    eve_xy: np.ndarray
     bob_antennas: int
     eve_antennas: int
     noise_w: float
     budgets: Budgets
-    loss_bob: np.ndarray = field(init=False, repr=False, compare=False)
-    loss_eve: np.ndarray = field(init=False, repr=False, compare=False)
+    loss_bob: np.ndarray = field(init=False, repr=False)
+    loss_eve: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.slots:
-            raise ValueError("a scenario needs at least one slot")
-        n_uavs = self.slots[0].n_uavs
-        if any(s.n_uavs != n_uavs for s in self.slots):
-            raise ValueError("all slots must share the same swarm size")
+        uav, bob, eve = (np.array(getattr(self, name), dtype=float)
+                         for name in ("uav_xyz", "bob_xy", "eve_xy"))
+        if uav.ndim != 3 or uav.shape[2] != 3 or uav.size == 0:
+            raise ValueError(f"uav_xyz must have shape (N, L, 3) with N, L >= 1, "
+                             f"got {uav.shape}")
+        n_slots, n_uavs, _ = uav.shape
+        if bob.shape != (n_slots, 2) or eve.shape != (n_slots, 2):
+            raise ValueError(f"bob_xy and eve_xy must have shape ({n_slots}, 2), "
+                             f"got {bob.shape} and {eve.shape}")
+        if not all(np.all(np.isfinite(a)) for a in (uav, bob, eve)):
+            raise ValueError("node coordinates must be finite")
+        if np.any(uav[..., 2] <= 0.0):
+            raise ValueError("every transmitter must be airborne (z > 0)")
         if self.bob_antennas < 1 or self.eve_antennas < 1:
             raise ValueError("both receivers need at least one antenna")
         if not (np.isfinite(self.noise_w) and self.noise_w > 0.0):
             raise ValueError(f"noise power must be positive, got {self.noise_w}")
 
-        loss_bob = np.empty((len(self.slots), n_uavs))
+        loss_bob = np.empty((n_slots, n_uavs))
         loss_eve = np.empty_like(loss_bob)
-        for n, slot in enumerate(self.slots):
-            for l, uav in enumerate(slot.uav_positions):
-                loss_bob[n, l] = power_loss_linear(self.env, uav, slot.bob_position)
-                loss_eve[n, l] = power_loss_linear(self.env, uav, slot.eve_position)
-        object.__setattr__(self, "loss_bob", loss_bob)
-        object.__setattr__(self, "loss_eve", loss_eve)
+        bobs, eves = bob.tolist(), eve.tolist()
+        for n, swarm in enumerate(uav.tolist()):
+            for l, xyz in enumerate(swarm):
+                loss_bob[n, l] = power_loss_linear(self.env, xyz, bobs[n])
+                loss_eve[n, l] = power_loss_linear(self.env, xyz, eves[n])
+        for name, value in (("uav_xyz", uav), ("bob_xy", bob), ("eve_xy", eve),
+                            ("loss_bob", loss_bob), ("loss_eve", loss_eve)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_slots(self) -> int:
-        return len(self.slots)
+        return self.uav_xyz.shape[0]
 
     @property
     def n_uavs(self) -> int:
-        return self.slots[0].n_uavs
+        return self.uav_xyz.shape[1]
 
 
 @dataclass

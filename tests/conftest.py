@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from swarmsec.channel import environment_preset
-from swarmsec.geometry import Position3D, SlotGeometry
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 
-def make_slot(bob_xy, uav_offsets, eve_xy, slot_index=0):
-    """One slot from plain coordinate tuples; uav_offsets are (dx, dy, z) from bob."""
-    bob = Position3D(float(bob_xy[0]), float(bob_xy[1]), 0.0)
-    uavs = tuple(Position3D(bob.x + dx, bob.y + dy, z) for dx, dy, z in uav_offsets)
-    eve = Position3D(float(eve_xy[0]), float(eve_xy[1]), 0.0)
-    return SlotGeometry(uavs, bob, eve, slot_index=slot_index)
+def make_slot(bob_xy, uav_offsets, eve_xy):
+    """One slot from plain coordinate tuples; uav_offsets are (dx, dy, z) from bob.
+
+    Returns (uav_xyz, bob_xy, eve_xy): L (x, y, z) points and two (x, y) points.
+    """
+    bx, by = float(bob_xy[0]), float(bob_xy[1])
+    uavs = [(bx + dx, by + dy, z) for dx, dy, z in uav_offsets]
+    return uavs, (bx, by), (float(eve_xy[0]), float(eve_xy[1]))
+
+
+def positions(slots):
+    """The ``Scenario`` position arrays of a sequence of ``make_slot`` slots."""
+    uav, bob, eve = zip(*slots)
+    return dict(uav_xyz=np.array(uav), bob_xy=np.array(bob), eve_xy=np.array(eve))
 
 
 def default_budgets(p_max_w=1.0, e_max_j=300.0, t_total_s=100.0, tau_max_s=8.0,
@@ -40,8 +47,8 @@ def small_scenario(n_uavs=3, n_slots=2, bob_antennas=2, eve_antennas=2,
         theta = rng.uniform(0.0, 2.0 * np.pi)
         eve_xy = (bob_xy[0] + eve_distance_m * np.cos(theta),
                   bob_xy[1] + eve_distance_m * np.sin(theta))
-        slots.append(make_slot(bob_xy, offsets, eve_xy, slot_index=n))
-    return Scenario(env=env, slots=tuple(slots), bob_antennas=bob_antennas,
+        slots.append(make_slot(bob_xy, offsets, eve_xy))
+    return Scenario(env=env, **positions(slots), bob_antennas=bob_antennas,
                     eve_antennas=eve_antennas, noise_w=noise_w,
                     budgets=budgets or default_budgets())
 

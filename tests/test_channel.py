@@ -9,7 +9,6 @@ from swarmsec.channel import (ENVIRONMENT_PRESETS, EnvironmentParams,
                               dbm_to_watts, environment_preset,
                               path_loss_db, power_loss_linear,
                               sample_small_scale, substream, watts_to_dbm)
-from swarmsec.geometry import Position3D
 
 
 def test_preset_table():
@@ -48,7 +47,7 @@ def test_path_loss_overhead_suburban_frozen_value():
     # d = 100 m straight overhead at 2.4 GHz, suburban excess losses:
     # elevation 90 deg, so the sigmoid blend plus free space gives 80.146 dB
     env = environment_preset("suburban")
-    val = path_loss_db(env, Position3D(0.0, 0.0, 100.0), Position3D(0.0, 0.0, 0.0))
+    val = path_loss_db(env, (0.0, 0.0, 100.0), (0.0, 0.0))
     assert val == pytest.approx(80.14599702029236, rel=1e-13)
 
 
@@ -56,17 +55,17 @@ def test_path_loss_matches_inline_formula():
     # independent recomputation of the sigmoid-blend model from the slant
     # range d and the elevation angle rho written out for each link
     env = environment_preset("urban")
-    origin = Position3D(0.0, 0.0, 0.0)
+    origin = (0.0, 0.0)
     d_generic = math.sqrt(50.0 ** 2 + 40.0 ** 2 + 130.0 ** 2)
     links = [  # (uav, ground, d, rho in degrees)
-        (Position3D(60.0, -25.0, 130.0), Position3D(10.0, 15.0, 0.0), d_generic,
+        ((60.0, -25.0, 130.0), (10.0, 15.0), d_generic,
          math.degrees(math.asin(130.0 / d_generic))),
         # 30-40 horizontal legs and 120 altitude: sqrt(900+1600+14400) = 130
-        (Position3D(30.0, 40.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
+        ((30.0, 40.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
         # the 5-12-13 triangle scaled by 10
-        (Position3D(0.0, 50.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
+        ((0.0, 50.0, 120.0), origin, 130.0, math.degrees(math.asin(12.0 / 13.0))),
         # straight overhead: elevation 90 degrees
-        (Position3D(7.0, -3.0, 150.0), Position3D(7.0, -3.0, 0.0), 150.0, 90.0),
+        ((7.0, -3.0, 150.0), (7.0, -3.0), 150.0, 90.0),
     ]
     for uav, ground, d, rho in links:
         expected = ((env.eta_los_db - env.eta_nlos_db)
@@ -79,9 +78,10 @@ def test_path_loss_matches_inline_formula():
 
 def test_path_loss_rejects_bad_links():
     env = environment_preset("urban")
-    grounded = (Position3D(0.0, 0.0, 0.0), Position3D(1.0, 0.0, 0.0))
-    off_ground = (Position3D(0.0, 0.0, 120.0), Position3D(1.0, 0.0, 5.0))
-    for uav, ground in (grounded, off_ground):
+    grounded = ((0.0, 0.0, 0.0), (1.0, 0.0))
+    underground = ((0.0, 0.0, -5.0), (1.0, 0.0))
+    off_ground = ((0.0, 0.0, 120.0), (1.0, 0.0, 5.0))  # a ground point has no z
+    for uav, ground in (grounded, underground, off_ground):
         with pytest.raises(ValueError):
             path_loss_db(env, uav, ground)
 
@@ -89,19 +89,19 @@ def test_path_loss_rejects_bad_links():
 def test_path_loss_increases_with_distance_at_fixed_elevation():
     # scaling all coordinates keeps the elevation angle, so only d grows
     env = environment_preset("suburban")
-    ground = Position3D(0.0, 0.0, 0.0)
-    base = path_loss_db(env, Position3D(30.0, 40.0, 120.0), ground)
-    scaled = path_loss_db(env, Position3D(60.0, 80.0, 240.0), ground)
+    ground = (0.0, 0.0)
+    base = path_loss_db(env, (30.0, 40.0, 120.0), ground)
+    scaled = path_loss_db(env, (60.0, 80.0, 240.0), ground)
     assert scaled == pytest.approx(base + 20.0 * math.log10(2.0), rel=1e-12)
 
 
 def test_higher_elevation_reduces_excess_loss():
     # same slant range, steeper angle: the LoS blend must not increase the loss
     env = environment_preset("highrise-urban")
-    ground = Position3D(0.0, 0.0, 0.0)
-    low = path_loss_db(env, Position3D(120.0, 0.0, 50.0), ground)
+    ground = (0.0, 0.0)
+    low = path_loss_db(env, (120.0, 0.0, 50.0), ground)
     d = math.hypot(120.0, 50.0)
-    high = path_loss_db(env, Position3D(30.0, 0.0, math.sqrt(d * d - 900.0)), ground)
+    high = path_loss_db(env, (30.0, 0.0, math.sqrt(d * d - 900.0)), ground)
     assert high < low
     # and over random pairs of altitudes on one slant range
     rng = np.random.default_rng(3)
@@ -109,15 +109,15 @@ def test_higher_elevation_reduces_excess_loss():
         d = rng.uniform(100.0, 600.0)
         z_low = rng.uniform(20.0, 0.9 * d)
         z_high = rng.uniform(z_low + 1.0, d)
-        low = path_loss_db(env, Position3D(math.sqrt(d * d - z_low ** 2), 0.0, z_low), ground)
-        high = path_loss_db(env, Position3D(0.0, math.sqrt(d * d - z_high ** 2), z_high),
+        low = path_loss_db(env, (math.sqrt(d * d - z_low ** 2), 0.0, z_low), ground)
+        high = path_loss_db(env, (0.0, math.sqrt(d * d - z_high ** 2), z_high),
                             ground)
         assert high < low
 
 
 def test_power_loss_linear_matches_db():
     env = environment_preset("urban")
-    uav, ground = Position3D(10.0, 0.0, 110.0), Position3D(0.0, 0.0, 0.0)
+    uav, ground = (10.0, 0.0, 110.0), (0.0, 0.0)
     db = path_loss_db(env, uav, ground)
     assert power_loss_linear(env, uav, ground) == pytest.approx(10.0 ** (db / 10.0),
                                                                 rel=1e-14)

@@ -1,4 +1,5 @@
-"""Geometry: slant ranges, elevation angles, worst-case eavesdropper placement.
+"""Geometry: slant ranges, elevation angles, worst-case eavesdropper placement,
+and the one check of node positions, in ``Scenario``.
 
 The slant range and the elevation angle of a link are computed inside
 ``path_loss_db``; these tests read them back through the loss it returns.
@@ -10,31 +11,65 @@ import numpy as np
 import pytest
 
 from swarmsec.channel import environment_preset, path_loss_db, power_loss_linear
-from swarmsec.geometry import Position3D, SlotGeometry, worst_case_eve_position
+from swarmsec.geometry import worst_case_eve_position
+from swarmsec.scenario import Scenario
+
+from conftest import default_budgets, make_slot, positions
+
+
+_GOOD = positions([make_slot((0.0, 0.0), [(1.0, 0.0, 120.0), (0.0, 2.0, 150.0)],
+                             (100.0, 0.0))])
+
+
+def _build(**fields):
+    return Scenario(env=environment_preset("urban"), **{**_GOOD, **fields},
+                    bob_antennas=2, eve_antennas=2, noise_w=1e-13,
+                    budgets=default_budgets())
+
+
+def _assert_all_rejected(bad):
+    for fields in bad:
+        with pytest.raises(ValueError):
+            _build(**fields)
 
 
 def test_position_rejects_negative_altitude():
-    with pytest.raises(ValueError):
-        Position3D(0.0, 0.0, -1.0)
+    assert _build().loss_bob.shape == (1, 2)
+    _assert_all_rejected([dict(uav_xyz=_GOOD["uav_xyz"] * [1.0, 1.0, -1.0])])
 
 
 def test_position_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Position3D(float("nan"), 0.0, 10.0)
-    with pytest.raises(ValueError):
-        Position3D(0.0, float("inf"), 10.0)
+    uav = _GOOD["uav_xyz"]
+    _assert_all_rejected([
+        dict(uav_xyz=uav + [float("nan"), 0.0, 0.0]),
+        dict(uav_xyz=uav + [0.0, float("inf"), 0.0]),
+        dict(uav_xyz=uav + [0.0, 0.0, float("inf")]),
+        dict(bob_xy=[[float("nan"), 0.0]]),
+        dict(eve_xy=[[0.0, float("inf")]]),
+    ])
 
 
 def test_slot_requires_airborne_transmitters():
-    bob = Position3D(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        SlotGeometry((Position3D(1.0, 0.0, 0.0),), bob, bob)
+    _assert_all_rejected([dict(uav_xyz=_GOOD["uav_xyz"] * [1.0, 1.0, 0.0])])
 
 
 def test_slot_requires_ground_receivers():
-    uav = Position3D(0.0, 0.0, 120.0)
-    with pytest.raises(ValueError):
-        SlotGeometry((uav,), Position3D(0.0, 0.0, 5.0), Position3D(1.0, 0.0, 0.0))
+    # receivers are (x, y) pairs on the ground; a third coordinate is rejected
+    _assert_all_rejected([
+        dict(bob_xy=[[100.0, 0.0, 10.0]]),
+        dict(eve_xy=[[0.0, 0.0, 0.0]]),
+    ])
+
+
+def test_scenario_rejects_bad_shapes():
+    uav = _GOOD["uav_xyz"]
+    _assert_all_rejected([
+        dict(uav_xyz=uav[0]),
+        dict(uav_xyz=uav[..., :2]),
+        dict(uav_xyz=uav[:, :0]),
+        dict(uav_xyz=uav[:0], bob_xy=np.empty((0, 2)), eve_xy=np.empty((0, 2))),
+        dict(bob_xy=[[0.0, 0.0], [1.0, 1.0]]),
+    ])
 
 
 def _free_space_db(d):
@@ -51,26 +86,26 @@ def _loss_from_range_and_elevation(env, d, rho_deg):
 def test_distance_pythagorean_triple():
     # 30-40 horizontal legs and 120 altitude: sqrt(900+1600+14400) = 130 exactly
     env = environment_preset("urban")
-    uav = Position3D(30.0, 40.0, 120.0)
+    uav = (30.0, 40.0, 120.0)
     expected = _loss_from_range_and_elevation(env, 130.0, math.degrees(math.asin(12.0 / 13.0)))
-    assert path_loss_db(env, uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(
+    assert path_loss_db(env, uav, (0.0, 0.0)) == pytest.approx(
         expected, rel=1e-14)
 
 
 def test_elevation_angle_oracle():
     # asin(120/130) for the 5-12-13 triangle scaled by 10
     env = environment_preset("urban")
-    uav = Position3D(0.0, 50.0, 120.0)
+    uav = (0.0, 50.0, 120.0)
     expected = _loss_from_range_and_elevation(env, 130.0, math.degrees(math.asin(12.0 / 13.0)))
-    assert path_loss_db(env, uav, Position3D(0.0, 0.0, 0.0)) == pytest.approx(
+    assert path_loss_db(env, uav, (0.0, 0.0)) == pytest.approx(
         expected, rel=1e-14)
 
 
 def test_elevation_overhead_is_90():
     env = environment_preset("urban")
-    uav = Position3D(7.0, -3.0, 150.0)
+    uav = (7.0, -3.0, 150.0)
     expected = _loss_from_range_and_elevation(env, 150.0, 90.0)
-    assert path_loss_db(env, uav, Position3D(7.0, -3.0, 0.0)) == pytest.approx(
+    assert path_loss_db(env, uav, (7.0, -3.0)) == pytest.approx(
         expected, rel=1e-14)
 
 
@@ -79,23 +114,23 @@ def test_elevation_monotone_in_horizontal_offset():
     # depends on the elevation only, and grows as the elevation falls
     env = environment_preset("highrise-urban")
     rng = np.random.default_rng(3)
-    ground = Position3D(0.0, 0.0, 0.0)
+    ground = (0.0, 0.0)
     for _ in range(50):
         z = rng.uniform(50.0, 300.0)
         r1 = rng.uniform(1.0, 500.0)
         r2 = r1 + rng.uniform(1.0, 500.0)
-        near = path_loss_db(env, Position3D(r1, 0.0, z), ground) - _free_space_db(math.hypot(r1, z))
-        far = path_loss_db(env, Position3D(r2, 0.0, z), ground) - _free_space_db(math.hypot(r2, z))
+        near = path_loss_db(env, (r1, 0.0, z), ground) - _free_space_db(math.hypot(r1, z))
+        far = path_loss_db(env, (r2, 0.0, z), ground) - _free_space_db(math.hypot(r2, z))
         assert near < far
 
 
 def test_eve_placement_lies_on_ring():
     env = environment_preset("urban")
-    bob = Position3D(200.0, 300.0, 0.0)
-    uavs = [Position3D(230.0, 310.0, 140.0), Position3D(180.0, 290.0, 160.0)]
+    bob = (200.0, 300.0)
+    uavs = [(230.0, 310.0, 140.0), (180.0, 290.0, 160.0)]
     eve = worst_case_eve_position(bob, 100.0, uavs, env)
-    assert math.hypot(eve.x - bob.x, eve.y - bob.y) == pytest.approx(100.0, abs=1e-9)
-    assert eve.z == 0.0
+    assert len(eve) == 2  # a ground point: (x, y)
+    assert math.hypot(eve[0] - bob[0], eve[1] - bob[1]) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_eve_placement_matches_brute_force():
@@ -103,29 +138,28 @@ def test_eve_placement_matches_brute_force():
     env = environment_preset("suburban")
     rng = np.random.default_rng(11)
     for _ in range(5):
-        bob = Position3D(rng.uniform(0, 1000), rng.uniform(0, 1000), 0.0)
-        uavs = [Position3D(bob.x + rng.uniform(-50, 50), bob.y + rng.uniform(-50, 50),
-                           rng.uniform(100, 200)) for _ in range(4)]
-        eve = worst_case_eve_position(bob, 100.0, uavs, env, grid_points=360)
+        bx, by = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        uavs = [(bx + rng.uniform(-50, 50), by + rng.uniform(-50, 50), rng.uniform(100, 200))
+                for _ in range(4)]
+        eve = worst_case_eve_position((bx, by), 100.0, uavs, env, grid_points=360)
 
         best_val, best_xy = np.inf, None
         for k in range(360):
             theta = 2.0 * math.pi * k / 360
-            cand = Position3D(bob.x + 100.0 * math.cos(theta),
-                              bob.y + 100.0 * math.sin(theta), 0.0)
+            cand = (bx + 100.0 * math.cos(theta), by + 100.0 * math.sin(theta))
             val = sum(power_loss_linear(env, u, cand) for u in uavs) / len(uavs)
             if val < best_val:
-                best_val, best_xy = val, (cand.x, cand.y)
-        assert eve.x == pytest.approx(best_xy[0], abs=1e-9)
-        assert eve.y == pytest.approx(best_xy[1], abs=1e-9)
+                best_val, best_xy = val, cand
+        assert eve[0] == pytest.approx(best_xy[0], abs=1e-9)
+        assert eve[1] == pytest.approx(best_xy[1], abs=1e-9)
 
 
 def test_eve_placement_grid_refinement_improves():
     env = environment_preset("dense-urban")
-    bob = Position3D(500.0, 500.0, 0.0)
+    bob = (500.0, 500.0)
     rng = np.random.default_rng(7)
-    uavs = [Position3D(bob.x + rng.uniform(-50, 50), bob.y + rng.uniform(-50, 50),
-                       rng.uniform(100, 200)) for _ in range(5)]
+    uavs = [(bob[0] + rng.uniform(-50, 50), bob[1] + rng.uniform(-50, 50),
+             rng.uniform(100, 200)) for _ in range(5)]
 
     def mean_loss(point):
         return sum(power_loss_linear(env, u, point) for u in uavs) / len(uavs)
@@ -138,17 +172,15 @@ def test_eve_placement_grid_refinement_improves():
 def test_eve_placement_symmetric_tie_breaks_to_smallest_angle():
     # one transmitter directly above the user: every ring point hears it equally
     env = environment_preset("suburban")
-    bob = Position3D(100.0, 100.0, 0.0)
-    uavs = [Position3D(100.0, 100.0, 150.0)]
-    eve = worst_case_eve_position(bob, 100.0, uavs, env)
-    assert eve.x == pytest.approx(200.0, abs=1e-9)
-    assert eve.y == pytest.approx(100.0, abs=1e-9)
+    eve = worst_case_eve_position((100.0, 100.0), 100.0, [(100.0, 100.0, 150.0)], env)
+    assert eve[0] == pytest.approx(200.0, abs=1e-9)
+    assert eve[1] == pytest.approx(100.0, abs=1e-9)
 
 
 def test_eve_placement_input_validation():
     env = environment_preset("suburban")
-    bob = Position3D(0.0, 0.0, 0.0)
-    uav = Position3D(0.0, 0.0, 100.0)
+    bob = (0.0, 0.0)
+    uav = (0.0, 0.0, 100.0)
     with pytest.raises(ValueError):
         worst_case_eve_position(bob, 0.0, [uav], env)
     with pytest.raises(ValueError):

@@ -83,6 +83,14 @@ BAD_CONFIG_VALUES = [
     {"p_max_dbm": float("nan")},
     {"p_max_dbm": 1e308},  # 10**(p/10) overflows a float
     {"p_max_dbm": 10 ** 400},  # no float holds it
+    {"altitude_max_m": float("inf")},
+    {"altitude_min_m": float("nan")},
+    {"cell_size_m": float("inf")},
+    {"hover_radius_m": float("inf")},
+    {"noise_dbm": float("nan")},
+    {"eve_grid_points": 4},
+    {"bcd_epsilon": float("nan")},
+    {"bcd_epsilon": -1},
 ]
 
 
@@ -154,7 +162,8 @@ def test_topology_deterministic():
     s2 = generate_topology(cfg, seed=9)
     assert np.array_equal(s1.loss_bob, s2.loss_bob)
     assert np.array_equal(s1.loss_eve, s2.loss_eve)
-    assert s1.slots[0].uav_positions == s2.slots[0].uav_positions
+    for name in ("uav_xyz", "bob_xy", "eve_xy"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name))
     s3 = generate_topology(cfg, seed=10)
     assert not np.array_equal(s1.loss_bob, s3.loss_bob)
 
@@ -162,23 +171,20 @@ def test_topology_deterministic():
 def test_topology_respects_bounds():
     cfg = tiny_config(n_uavs=4, n_slots=5)
     scenario = generate_topology(cfg, seed=21)
-    for slot in scenario.slots:
-        bob = slot.bob_position
-        assert 0.0 <= bob.x <= 1000.0 and 0.0 <= bob.y <= 1000.0
-        for uav in slot.uav_positions:
-            assert math.hypot(uav.x - bob.x, uav.y - bob.y) <= 50.0 + 1e-9
-            assert 100.0 <= uav.z <= 200.0
-        eve = slot.eve_position
-        assert math.hypot(eve.x - bob.x, eve.y - bob.y) == pytest.approx(100.0,
-                                                                         abs=1e-9)
+    assert scenario.uav_xyz.shape == (5, 4, 3)
+    for uavs, bob, eve in zip(scenario.uav_xyz, scenario.bob_xy, scenario.eve_xy):
+        assert np.all((0.0 <= bob) & (bob <= 1000.0))
+        for x, y, z in uavs:
+            assert math.hypot(x - bob[0], y - bob[1]) <= 50.0 + 1e-9
+            assert 100.0 <= z <= 200.0
+        assert math.hypot(*(eve - bob)) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_topology_growing_swarm_extends_existing_members():
     small = generate_topology(tiny_config(n_uavs=2), seed=5)
     large = generate_topology(tiny_config(n_uavs=4), seed=5)
-    for n in range(2):
-        assert large.slots[n].uav_positions[:2] == small.slots[n].uav_positions
-        assert large.slots[n].bob_position == small.slots[n].bob_position
+    assert np.array_equal(large.uav_xyz[:, :2], small.uav_xyz)
+    assert np.array_equal(large.bob_xy, small.bob_xy)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,13 @@ def test_baseline_requires_null_space():
     scenario = generate_topology(cfg, seed=1)
     with pytest.raises(ValueError):
         baseline_null_space(scenario, np.ones(2), 100, substream(1, "b"))
+
+
+def test_baseline_rejects_bad_durations():
+    scenario = generate_topology(tiny_config(n_uavs=4), seed=1)
+    for tau in ([-1.0, 1.0], [float("nan"), 1.0], [float("inf"), 0.0], [1.0]):
+        with pytest.raises(ValueError):
+            baseline_null_space(scenario, tau, 100, substream(1, "b"))
 
 
 def test_baseline_zero_signal_fraction_is_zero():

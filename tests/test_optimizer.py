@@ -15,7 +15,7 @@ from swarmsec.rates import (LOG2E, AuxVariables, per_slot_secrecy, rate_term,
                             solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
-from conftest import (default_budgets, feasible_schedule, make_slot,
+from conftest import (default_budgets, feasible_schedule, make_slot, positions,
                       small_scenario)
 
 
@@ -139,7 +139,7 @@ def _far_eve_scenario(p_max_w, e_max_j):
     slot = make_slot((0.0, 0.0), [(10.0, 0.0, 120.0)], (1.0e7, 0.0))
     budgets = Budgets(p_max_w=p_max_w, e_max_j=e_max_j, t_total_s=10.0,
                       tau_max_s=8.0, t_period_s=210.0)
-    return Scenario(env=small_scenario().env, slots=(slot,), bob_antennas=2,
+    return Scenario(env=small_scenario().env, **positions([slot]), bob_antennas=2,
                     eve_antennas=2, noise_w=1e-13, budgets=budgets)
 
 
@@ -285,7 +285,7 @@ def test_duration_lp_single_slot_formula():
                      (100.0, 0.0))
     budgets = Budgets(p_max_w=1.0, e_max_j=5.0, t_total_s=10.0, tau_max_s=8.0,
                       t_period_s=210.0)
-    scenario = Scenario(env=small_scenario().env, slots=(slot,), bob_antennas=3,
+    scenario = Scenario(env=small_scenario().env, **positions([slot]), bob_antennas=3,
                         eve_antennas=2, noise_w=1e-13, budgets=budgets)
     schedule = PowerSchedule(np.array([[0.9], [0.6]]), np.array([[0.2], [0.1]]))
     aux = _aux_from(schedule, np.ones(1), scenario)
@@ -298,10 +298,10 @@ def test_duration_lp_single_slot_formula():
 def test_duration_lp_nonpositive_rates_give_zero():
     # eavesdropper colocated with the user but with more antennas: every
     # per-slot secrecy rate is strictly negative, so no slot is worth airtime
-    slots = tuple(make_slot((50.0 * n, 0.0), [(4.0, 2.0, 110.0)], (50.0 * n, 0.0),
-                            slot_index=n) for n in range(2))
+    slots = [make_slot((50.0 * n, 0.0), [(4.0, 2.0, 110.0)], (50.0 * n, 0.0))
+             for n in range(2)]
     budgets = default_budgets()
-    scenario = Scenario(env=small_scenario().env, slots=slots, bob_antennas=1,
+    scenario = Scenario(env=small_scenario().env, **positions(slots), bob_antennas=1,
                         eve_antennas=3, noise_w=1e-13, budgets=budgets)
     schedule = PowerSchedule(np.full((1, 2), 0.5), np.full((1, 2), 0.1))
     aux = _aux_from(schedule, np.ones(2), scenario)
@@ -356,9 +356,9 @@ def test_aux_blocks_match_direct_fixed_points(scenario_2slot):
 def test_aux_blocks_symmetric_receivers_coincide():
     # eavesdropper sitting on the user with equal antennas sees equal losses,
     # so the per-slot fixed points must coincide exactly
-    slots = tuple(make_slot((100.0 * n, 50.0), [(6.0, -3.0, 130.0), (0.0, 9.0, 170.0)],
-                            (100.0 * n, 50.0), slot_index=n) for n in range(2))
-    scenario = Scenario(env=small_scenario().env, slots=slots, bob_antennas=2,
+    slots = [make_slot((100.0 * n, 50.0), [(6.0, -3.0, 130.0), (0.0, 9.0, 170.0)],
+                       (100.0 * n, 50.0)) for n in range(2)]
+    scenario = Scenario(env=small_scenario().env, **positions(slots), bob_antennas=2,
                         eve_antennas=2, noise_w=1e-13, budgets=default_budgets())
     schedule = feasible_schedule(scenario, p_u_frac=0.4, p_a_frac=0.15)
     bob_total, eve_an = solve_aux_block_min(schedule, np.ones(2), scenario)
