@@ -26,10 +26,9 @@ class EnvironmentParams:
     a: float = 5.0188
     b: float = 0.3511
     carrier_freq_hz: float = 2.4e9
-    light_speed_m_s: float = LIGHT_SPEED_M_S
 
     def __post_init__(self):
-        for name in ("a", "b", "carrier_freq_hz", "light_speed_m_s"):
+        for name in ("a", "b", "carrier_freq_hz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -63,12 +62,6 @@ def dbm_to_watts(dbm: float) -> float:
         raise ValueError(f"power {dbm} dBm is out of range") from None
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError(f"power must be positive, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
     """Air-to-ground path loss in dB between one transmitter and one ground node.
 
@@ -85,7 +78,7 @@ def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
     excess_span = env.eta_los_db - env.eta_nlos_db
     blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
     free_space = 20.0 * math.log10(d) + 20.0 * math.log10(
-        4.0 * math.pi * env.carrier_freq_hz / env.light_speed_m_s)
+        4.0 * math.pi * env.carrier_freq_hz / LIGHT_SPEED_M_S)
     return blended + free_space + env.eta_nlos_db
 
 

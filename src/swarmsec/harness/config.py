@@ -29,7 +29,6 @@ class ScenarioConfig:
     env_a: float = 5.0188
     env_b: float = 0.3511
     carrier_freq_hz: float = 2.4e9
-    light_speed_m_s: float = 3.0e8
 
     # layout
     n_uavs: int = 7
@@ -119,8 +118,7 @@ class ScenarioConfig:
         else:
             base = environment_preset(self.environment)
         return dataclasses.replace(base, a=self.env_a, b=self.env_b,
-                                   carrier_freq_hz=self.carrier_freq_hz,
-                                   light_speed_m_s=self.light_speed_m_s)
+                                   carrier_freq_hz=self.carrier_freq_hz)
 
     def budgets(self) -> Budgets:
         return Budgets(p_max_w=dbm_to_watts(self.p_max_dbm),

@@ -30,7 +30,7 @@ import yaml
 
 from .. import __version__
 from ..channel import dbm_to_watts, derive_seed, substream
-from ..optimizer import audit_feasibility, run_bcd
+from ..optimizer import FEASIBILITY_TOL, audit_feasibility, run_bcd
 from ..rates import secrecy_throughput_closed_form, secrecy_throughput_mc
 from ..scenario import PowerSchedule, Scenario, uniform_schedule
 from .baseline import baseline_null_space
@@ -150,11 +150,9 @@ def _run_optimize(config: ScenarioConfig):
     scenario, trace = _optimize_once(config, config.seed)
     header = ["iteration", "objective", "objective_clipped", "max_violation",
               "non_monotone"]
-    rows = [[0, trace.initial_objective, trace.initial_objective, 0.0, False]]
-    for i, rec in enumerate(trace.iterations, start=1):
-        rows.append([i, rec.objective, rec.objective_clipped,
-                     rec.diagnostics["max_violation"],
-                     rec.diagnostics["non_monotone"]])
+    rows = [[i, rec.objective, rec.objective_clipped, rec.diagnostics["max_violation"],
+             rec.diagnostics["non_monotone"]]
+            for i, rec in enumerate([trace.initial] + trace.iterations)]
 
     final = trace.final
     solution_header = ["slot", "uav", "p_u_w", "p_a_w", "tau_s"]
@@ -218,44 +216,34 @@ def _run_sweep(config: ScenarioConfig, jobs: int):
               "wall_time_s"]
     variable = config.sweep_variable
     rows = []
-    prev_solution = None  # (schedule, tau) at the previous sweep value
+    kept = None  # the record kept at the previous sweep value
     for value in config.sweep_values:
         start_time = time.perf_counter()
         stepped = dataclasses.replace(config, **{variable: value})
         scenario = generate_topology(stepped, config.seed)
 
-        candidates = []  # (objective, clipped, label, trace_or_None, schedule, tau)
+        candidates = []  # (label, record, trace; None for the held point)
         cold_schedule, cold_tau = initial_point(scenario, stepped)
         cold = run_bcd(scenario, cold_schedule, cold_tau, epsilon=stepped.bcd_epsilon,
                        max_iter=stepped.bcd_max_iter)
-        candidates.append((cold.final.objective, cold.final.objective_clipped,
-                           "cold", cold, cold.final.schedule, cold.final.tau))
+        candidates.append(("cold", cold.final, cold))
 
-        if prev_solution is not None:
-            warm_schedule = _carry_schedule(prev_solution[0], scenario.n_uavs)
-            warm_tau = prev_solution[1].copy()
-            if max(audit_feasibility(scenario, warm_schedule, warm_tau).values()) <= 1e-9:
-                held, _, held_slots = secrecy_throughput_closed_form(
-                    scenario, warm_schedule, warm_tau)
-                held_clip = float(np.dot(warm_tau, np.maximum(held_slots, 0.0))
-                                  / scenario.budgets.t_period_s)
-                candidates.append((held, held_clip, "hold", None,
-                                   warm_schedule, warm_tau))
-                warm = run_bcd(scenario, warm_schedule, warm_tau,
+        if kept is not None:
+            warm_schedule = _carry_schedule(kept.schedule, scenario.n_uavs)
+            if (max(audit_feasibility(scenario, warm_schedule, kept.tau).values())
+                    <= FEASIBILITY_TOL):
+                warm = run_bcd(scenario, warm_schedule, kept.tau,
                                epsilon=stepped.bcd_epsilon,
                                max_iter=stepped.bcd_max_iter)
-                candidates.append((warm.final.objective,
-                                   warm.final.objective_clipped, "warm", warm,
-                                   warm.final.schedule, warm.final.tau))
+                candidates.append(("hold", warm.initial, None))
+                candidates.append(("warm", warm.final, warm))
 
-        objective, clipped, label, trace, schedule, tau = max(candidates,
-                                                              key=lambda c: c[0])
-        prev_solution = (schedule, tau)
-        rows.append([variable, value, objective, clipped,
+        label, kept, trace = max(candidates, key=lambda c: c[1].objective)
+        rows.append([variable, value, kept.objective, kept.objective_clipped,
                      len(trace.iterations) if trace else 0,
                      trace.converged if trace else True,
                      trace.is_monotone() if trace else True,
-                     max(audit_feasibility(scenario, schedule, tau).values()),
+                     kept.diagnostics["max_violation"],
                      label, time.perf_counter() - start_time])
     return header, rows, []
 
@@ -267,7 +255,7 @@ def _convergence_one(args):
     _, trace = _optimize_once(config, seed)
     final = trace.final
     return [index, seed, len(trace.iterations), trace.converged,
-            trace.is_monotone(), trace.initial_objective, final.objective,
+            trace.is_monotone(), trace.initial.objective, final.objective,
             final.diagnostics["max_violation"], time.perf_counter() - start]
 
 

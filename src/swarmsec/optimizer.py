@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import NumericalError
-from .rates import (LOG2E, AuxVariables, _check_pair, _lane_stack, _log_slope,
+from .rates import (LOG2E, _check_aux, _check_pair, _lane_stack, _log_slope,
                     _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
                     solve_fixed_point)
 from .scenario import PowerSchedule, Scenario
@@ -26,6 +26,8 @@ from .scenario import PowerSchedule, Scenario
 POWER_KKT_TOL = 1e-8
 #: relative objective decrease beyond which an iteration is flagged non-monotone
 MONOTONE_TOL = 1e-8
+#: largest constraint violation a starting point may carry
+FEASIBILITY_TOL = 1e-9
 #: relative fixed-aux objective gain below which the SCA re-anchoring stops
 SCA_INNER_TOL = 1e-7
 #: cap on the SCA re-anchored solves per power block
@@ -62,9 +64,8 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
 # ---------------------------------------------------------------------------
 # fixed-aux objective
 
-def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau,
-                      aux: AuxVariables) -> float:
-    """Objective value with all four auxiliary vectors held fixed."""
+def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau, aux) -> float:
+    """Objective value with the (4, N) aux array held fixed."""
     tau = _check_pair(scenario, schedule, tau)
     return float(np.dot(tau, per_slot_secrecy(scenario, schedule, aux))
                  / scenario.budgets.t_period_s)
@@ -157,7 +158,7 @@ def _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max,
     return max(r_proj, r_energy, r_comp)
 
 
-def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSchedule,
+def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
                            scenario: Scenario) -> PowerSchedule:
     """Maximize the linearized power surrogate under power and energy budgets.
 
@@ -175,7 +176,7 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
     # the exact terms keep their coefficient (beta), the linearized ones their
     # slope (gamma), each as an (L, N) grid
     p, n, q = _lane_stack(scenario, schedule_prev)
-    coef = _snr_coefficient(n, q, aux.stack(), scenario.noise_w)
+    coef = _snr_coefficient(n, q, _check_aux(aux, scenario), scenario.noise_w)
     slope = _log_slope(coef, p)
     beta_b, gamma_b, gamma_e, beta_e = coef[0].T, slope[1].T, slope[2].T, coef[3].T
 
@@ -197,9 +198,8 @@ def solve_power_subproblem(aux: AuxVariables, tau_prev, schedule_prev: PowerSche
 # ---------------------------------------------------------------------------
 # duration block
 
-def solve_duration_lp(aux: AuxVariables, schedule: PowerSchedule,
-                      scenario: Scenario) -> np.ndarray:
-    """Optimal slot durations at fixed powers and auxiliary values.
+def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.ndarray:
+    """Optimal slot durations at fixed powers and a fixed (4, N) aux array.
 
     Maximizes the duration-weighted per-slot secrecy rates subject to the
     per-slot cap, the total transmission time, and each UAV's energy budget.
@@ -236,26 +236,33 @@ def audit_feasibility(scenario: Scenario, schedule: PowerSchedule, tau) -> dict:
     }
 
 
+def _ascends(before: float, after: float) -> bool:
+    """False when ``after`` fell below ``before`` by more than MONOTONE_TOL relative."""
+    return after >= before - MONOTONE_TOL * (1.0 + abs(before))
+
+
 @dataclass
 class IterationRecord:
-    """State after one outer iteration."""
+    """One evaluated point: the start of a run or the state after an iteration.
+
+    ``aux`` is the (4, N) array of the point's fixed points in ``TERMS`` order.
+    """
 
     objective: float
     objective_clipped: float
     schedule: PowerSchedule
     tau: np.ndarray
-    aux: AuxVariables
+    aux: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass
 class SolutionTrace:
-    """Outcome of a block-coordinate run."""
+    """Outcome of a block-coordinate run: the start, then one record per iteration."""
 
-    initial_objective: float
+    initial: IterationRecord
     iterations: list[IterationRecord]
     converged: bool
-    stop_reason: str
 
     @property
     def objectives(self) -> list[float]:
@@ -265,13 +272,36 @@ class SolutionTrace:
     def final(self) -> IterationRecord:
         return self.iterations[-1]
 
-    def is_monotone(self, tol: float = 1e-8) -> bool:
-        """True when no step decreased the objective beyond tol*(1+|previous|)."""
-        values = [self.initial_objective] + self.objectives
-        return all(b >= a - tol * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
+    def is_monotone(self) -> bool:
+        """True when no step decreased the objective beyond MONOTONE_TOL relative."""
+        values = [self.initial.objective] + self.objectives
+        return all(_ascends(a, b) for a, b in zip(values, values[1:]))
 
 
-def _power_sca_step(aux: AuxVariables, tau, schedule: PowerSchedule,
+def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
+              previous: IterationRecord | None = None,
+              power_inner_iters: int = 0) -> IterationRecord:
+    """Audit, score and record one point; ``previous`` is the point it improves on."""
+    violations = audit_feasibility(scenario, schedule, tau)
+    objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+    clipped = float(np.dot(tau, np.maximum(per_slot, 0.0)) / scenario.budgets.t_period_s)
+    non_monotone = previous is not None and not _ascends(previous.objective, objective)
+    return IterationRecord(
+        objective=objective,
+        objective_clipped=clipped,
+        schedule=schedule.copy(),
+        tau=np.array(tau, dtype=float),
+        aux=aux,
+        diagnostics={
+            "max_violation": max(violations.values()),
+            "violations": violations,
+            "non_monotone": non_monotone,
+            "power_inner_iters": power_inner_iters,
+        },
+    )
+
+
+def _power_sca_step(aux, tau, schedule: PowerSchedule,
                     scenario: Scenario) -> tuple[PowerSchedule, int]:
     """Successive convex approximation on the power block at fixed aux values.
 
@@ -300,54 +330,32 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
 
     Stops once the fractional objective increase drops below ``epsilon``
     (with a 1e-12 floor on the denominator) or after ``max_iter`` iterations.
+    The start must violate no constraint by more than ``FEASIBILITY_TOL``.
     Every iterate is audited for feasibility; an objective decrease beyond
     ``MONOTONE_TOL`` relative is flagged in the iteration diagnostics rather
     than raised, since the surrogate-ascent guarantee is exact only to solver
     tolerance.
     """
     eps_floor = 1e-12
-    tau = _check_pair(scenario, init_schedule, init_tau).copy()
-    start_violation = max(audit_feasibility(scenario, init_schedule, tau).values())
-    if start_violation > 1e-9:
+    tau = _check_pair(scenario, init_schedule, init_tau)
+    initial = _evaluate(scenario, init_schedule, tau)
+    start_violation = initial.diagnostics["max_violation"]
+    if start_violation > FEASIBILITY_TOL:
         raise ValueError(f"initial point infeasible by {start_violation:.3e}")
 
-    schedule = init_schedule.copy()
     # the aux blocks' exact solution is the fixed points of the current
     # schedule, which the closed form that scored it has already returned
-    r_prev, aux, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
-    initial_objective = r_prev
-
+    prev = initial
     iterations: list[IterationRecord] = []
     converged = False
-    stop_reason = "max_iter"
     for _ in range(max_iter):
-        schedule, inner_iters = _power_sca_step(aux, tau, schedule, scenario)
-        tau = solve_duration_lp(aux, schedule, scenario)
-
-        r_new, aux_next, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
-        r_clip = float(np.dot(tau, np.maximum(per_slot, 0.0))
-                       / scenario.budgets.t_period_s)
-        violations = audit_feasibility(scenario, schedule, tau)
-        non_monotone = r_new < r_prev - MONOTONE_TOL * (1.0 + abs(r_prev))
-        iterations.append(IterationRecord(
-            objective=r_new,
-            objective_clipped=r_clip,
-            schedule=schedule.copy(),
-            tau=tau.copy(),
-            aux=aux_next,
-            diagnostics={
-                "max_violation": max(violations.values()),
-                "violations": violations,
-                "non_monotone": bool(non_monotone),
-                "power_inner_iters": inner_iters,
-            },
-        ))
-
-        if (r_new - r_prev) / max(r_prev, eps_floor) < epsilon:
+        schedule, inner_iters = _power_sca_step(prev.aux, prev.tau, prev.schedule, scenario)
+        tau = solve_duration_lp(prev.aux, schedule, scenario)
+        rec = _evaluate(scenario, schedule, tau, prev, inner_iters)
+        iterations.append(rec)
+        if (rec.objective - prev.objective) / max(prev.objective, eps_floor) < epsilon:
             converged = True
-            stop_reason = "fractional_increase_below_epsilon"
             break
-        r_prev, aux = r_new, aux_next
+        prev = rec
 
-    return SolutionTrace(initial_objective=initial_objective, iterations=iterations,
-                         converged=converged, stop_reason=stop_reason)
+    return SolutionTrace(initial=initial, iterations=iterations, converged=converged)

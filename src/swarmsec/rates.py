@@ -24,35 +24,11 @@ LOG2E = math.log2(math.e)
 FIXED_POINT_TOL = 1e-12
 
 
-#: row order of every four-term lane stack: (receiver, power matrix)
+#: row order of every four-term lane stack and of the (4, N) aux array:
+#: (receiver, power matrix). ``bob_total`` is the scheduled user's term under
+#: total power, ``bob_an`` under the artificial-noise power alone, and likewise
+#: ``eve_total`` / ``eve_an`` for the eavesdropper.
 TERMS = ("bob_total", "bob_an", "eve_total", "eve_an")
-
-
-@dataclass(frozen=True)
-class AuxVariables:
-    """Per-slot auxiliary minimizers for the four rate terms.
-
-    Field naming is (receiver, power matrix): ``bob_total`` is the aux value
-    for the scheduled user's rate under total power, ``bob_an`` under the
-    artificial-noise power alone, and likewise ``eve_total`` / ``eve_an`` for
-    the eavesdropper. Each is a length-N vector.
-    """
-
-    bob_total: np.ndarray
-    bob_an: np.ndarray
-    eve_total: np.ndarray
-    eve_an: np.ndarray
-
-    def __post_init__(self):
-        for name in TERMS:
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim != 1 or np.any(v < 0.0) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a 1-D vector of nonnegative finite values")
-            object.__setattr__(self, name, v)
-
-    def stack(self) -> np.ndarray:
-        """The four vectors as a (4, N) array, rows in ``TERMS`` order."""
-        return np.stack([getattr(self, name) for name in TERMS])
 
 
 @dataclass(frozen=True)
@@ -78,8 +54,13 @@ def _check_term_inputs(p, losses, noise) -> tuple[np.ndarray, np.ndarray]:
     return p, losses
 
 
-def _check_aux(aux) -> np.ndarray:
+def _check_aux(aux, scenario: Scenario | None = None) -> np.ndarray:
+    """Aux values as floats, nonnegative and finite; with a scenario, also the
+    (4, N) array of one value per rate term (rows in ``TERMS`` order) and slot."""
     aux = np.asarray(aux, dtype=float)
+    if scenario is not None and aux.shape != (len(TERMS), scenario.n_slots):
+        raise ValueError(f"aux must have shape ({len(TERMS)}, {scenario.n_slots}), "
+                         f"got {aux.shape}")
     if not (np.all(np.isfinite(aux)) and np.all(aux >= 0.0)):
         raise ValueError(f"aux must be nonnegative and finite, got {aux}")
     return aux
@@ -277,29 +258,29 @@ def _secrecy_rate(terms) -> np.ndarray:
     return terms[0] - terms[1] - terms[2] + terms[3]
 
 
-def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule,
-                     aux: AuxVariables) -> np.ndarray:
-    """Per-slot secrecy rates evaluated at fixed auxiliary values."""
+def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.ndarray:
+    """Per-slot secrecy rates evaluated at a fixed (4, N) aux array."""
+    aux = _check_aux(aux, scenario)
     p, n, q = _lane_stack(scenario, schedule)
-    return _secrecy_rate(rate_term(p, n, q, aux.stack(), scenario.noise_w))
+    return _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
 
 
 def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
-                                   tau) -> tuple[float, AuxVariables, np.ndarray]:
+                                   tau) -> tuple[float, np.ndarray, np.ndarray]:
     """Closed-form average secrecy throughput in bits/s/Hz.
 
     Solves the 4N fixed points as one batch, forms the per-slot secrecy rate
     (scheduled user's rate minus the eavesdropper's), and averages weighted by
     slot durations over the scheduling period. Returns the throughput, the
-    auxiliary minimizers (which depend on the schedule only), and the
-    per-slot secrecy rates before weighting.
+    auxiliary minimizers as a (4, N) array in ``TERMS`` order (they depend on
+    the schedule only), and the per-slot secrecy rates before weighting.
     """
     tau = _check_pair(scenario, schedule, tau)
     p, n, q = _lane_stack(scenario, schedule)
     aux = solve_fixed_point(p, n, q, scenario.noise_w)
     per_slot = _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
     value = float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
-    return value, AuxVariables(*aux), per_slot
+    return value, aux, per_slot
 
 
 def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,

@@ -15,7 +15,7 @@ from swarmsec.harness.config import ScenarioConfig
 from swarmsec.harness.experiments import run_experiment
 from swarmsec.optimizer import (solve_aux_block_max, solve_aux_block_min,
                                 solve_duration_lp, solve_power_subproblem)
-from swarmsec.rates import (LOG2E, AuxVariables, fixed_point_residual,
+from swarmsec.rates import (LOG2E, fixed_point_residual,
                             per_slot_secrecy, rate_term, rate_term_gradient,
                             solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule
@@ -166,7 +166,7 @@ def test_criterion_5_subproblems_match_oracles():
         schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (2, 3)) * u)
         bob_total, eve_an = solve_aux_block_min(schedule, np.ones(3), scenario)
         bob_an, eve_total = solve_aux_block_max(schedule, np.ones(3), scenario)
-        aux = AuxVariables(bob_total, bob_an, eve_total, eve_an)
+        aux = np.stack([bob_total, bob_an, eve_total, eve_an])
         tau = solve_duration_lp(aux, schedule, scenario)
         coeff = per_slot_secrecy(scenario, schedule, aux) / budgets.t_period_s
         oracle = _duration_vertex_oracle(coeff, schedule.p_u, budgets.e_max_j,
@@ -183,16 +183,16 @@ def test_criterion_5_subproblems_match_oracles():
         anchor = PowerSchedule(np.full((1, 2), 0.3), np.full((1, 2), 0.1))
         bob_total, eve_an = solve_aux_block_min(anchor, tau, scenario)
         bob_an, eve_total = solve_aux_block_max(anchor, tau, scenario)
-        aux = AuxVariables(bob_total, bob_an, eve_total, eve_an)
+        aux = np.stack([bob_total, bob_an, eve_total, eve_an])
         out = solve_power_subproblem(aux, tau, anchor, scenario)
 
         # independent vectorized surrogate over the mesh (constants dropped)
         nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
         qb, qe = scenario.loss_bob[:, 0], scenario.loss_eve[:, 0]
-        beta_b = nb / (qb * noise * np.exp(aux.bob_total))
-        beta_e = ne / (qe * noise * np.exp(aux.eve_an))
-        cb = nb / (noise * np.exp(aux.bob_an) * qb)
-        ce = ne / (noise * np.exp(aux.eve_total) * qe)
+        beta_b = nb / (qb * noise * np.exp(bob_total))
+        beta_e = ne / (qe * noise * np.exp(eve_an))
+        cb = nb / (noise * np.exp(bob_an) * qb)
+        ce = ne / (noise * np.exp(eve_total) * qe)
         gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[0])
         gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[0])
         grid = np.arange(0.0, 1.0 + step / 2, step)

@@ -8,7 +8,7 @@ import pytest
 from swarmsec.channel import (ENVIRONMENT_PRESETS, EnvironmentParams,
                               dbm_to_watts, environment_preset,
                               path_loss_db, power_loss_linear,
-                              sample_small_scale, substream, watts_to_dbm)
+                              sample_small_scale, substream)
 
 
 def test_preset_table():
@@ -37,10 +37,6 @@ def test_dbm_conversions():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert dbm_to_watts(-107.0) == pytest.approx(10.0 ** (-13.7), rel=1e-15)
-    for dbm in (-107.0, -30.0, 0.0, 17.5, 30.0, 35.0):
-        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-12)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
 
 
 def test_path_loss_overhead_suburban_frozen_value():

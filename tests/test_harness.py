@@ -20,7 +20,8 @@ from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict
                                      config_to_dict, load_config, save_config)
 from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
-from swarmsec.rates import LOG2E
+from swarmsec.optimizer import audit_feasibility
+from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
 
 
 def tiny_config(**overrides):
@@ -60,6 +61,9 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({"n_uavs": 3, "warp_factor": 9})
+    # the speed of light is a constant of the channel model, not a key
+    with pytest.raises(ValueError, match="unknown config keys: light_speed_m_s"):
+        config_from_dict({"light_speed_m_s": 3.0e8})
 
 
 #: each entry, alone on top of the defaults, must fail at load with a ValueError
@@ -381,6 +385,38 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
     run_experiment(tiny_config(), "optimize", tmp_path / "o2")
     assert ((tmp_path / "o1" / "optimize_solution.csv").read_bytes()
             == (tmp_path / "o2" / "optimize_solution.csv").read_bytes())
+
+
+def test_optimize_trace_row_0_is_the_audited_start(tmp_path):
+    # an eavesdropper with more antennas than the user makes the start's
+    # secrecy rates negative, and 3 slots of 1.95/3 s at 1 W overshoot the
+    # 1.95 J budget by one rounding step: row 0 shows the start's clipped
+    # objective and its audited violation, as every later row does
+    cfg = ScenarioConfig(bob_antennas=2, eve_antennas=4, n_slots=3, e_max_j=1.95)
+    run_experiment(cfg, "optimize", tmp_path)
+    row = {k: float(v[0]) for k, v in _read_csv(tmp_path / "optimize_trace.csv").items()}
+    scenario = generate_topology(cfg, cfg.seed)
+    schedule, tau = initial_point(scenario, cfg)
+    value, _, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+    violation = max(audit_feasibility(scenario, schedule, tau).values())
+    assert row["objective"] == value < 0.0
+    assert row["objective_clipped"] == float(np.dot(tau, np.maximum(per_slot, 0.0))
+                                             / cfg.t_period_s)
+    assert row["objective_clipped"] >= max(row["objective"], 0.0)
+    assert row["max_violation"] == violation > 0.0
+
+
+def test_process_pool_matches_serial_run(tmp_path):
+    # two workers must give the serial run's cells, wall time exempt
+    for exp in ("convergence", "baseline"):
+        run_experiment(tiny_config(), exp, tmp_path / f"{exp}1", jobs=1)
+        run_experiment(tiny_config(), exp, tmp_path / f"{exp}2", jobs=2)
+        serial = _read_csv(tmp_path / f"{exp}1" / f"{exp}.csv")
+        pooled = _read_csv(tmp_path / f"{exp}2" / f"{exp}.csv")
+        assert set(serial) == set(pooled)
+        for col in serial:
+            if col != "wall_time_s":
+                assert serial[col] == pooled[col], f"{exp} column {col} differs"
 
 
 def test_manifest_contents(tmp_path):

@@ -10,7 +10,7 @@ from swarmsec.optimizer import (IterationRecord, SolutionTrace,
                                 audit_feasibility, run_bcd, solve_aux_block_max,
                                 solve_aux_block_min, solve_duration_lp,
                                 solve_power_subproblem, throughput_at_aux)
-from swarmsec.rates import (LOG2E, AuxVariables, per_slot_secrecy, rate_term,
+from swarmsec.rates import (LOG2E, per_slot_secrecy, rate_term,
                             rate_term_gradient, secrecy_throughput_closed_form,
                             solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
@@ -22,7 +22,7 @@ from conftest import (default_budgets, feasible_schedule, make_slot, positions,
 def _aux_from(schedule, tau, scenario):
     bob_total, eve_an = solve_aux_block_min(schedule, tau, scenario)
     bob_an, eve_total = solve_aux_block_max(schedule, tau, scenario)
-    return AuxVariables(bob_total, bob_an, eve_total, eve_an)
+    return np.stack([bob_total, bob_an, eve_total, eve_an])
 
 
 def rate_term_tangent(p, n_antennas, losses, aux, noise, anchor_p):
@@ -45,11 +45,12 @@ def sca_surrogate_value(scenario, schedule, tau, aux, anchor):
     """
     nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
     qb, qe = scenario.loss_bob, scenario.loss_eve
-    per_slot = (rate_term(schedule.p_u.T, nb, qb, aux.bob_total, noise)
-                - rate_term_tangent(schedule.p_a.T, nb, qb, aux.bob_an, noise, anchor.p_a.T)
-                - rate_term_tangent(schedule.p_u.T, ne, qe, aux.eve_total, noise,
+    bob_total, bob_an, eve_total, eve_an = aux
+    per_slot = (rate_term(schedule.p_u.T, nb, qb, bob_total, noise)
+                - rate_term_tangent(schedule.p_a.T, nb, qb, bob_an, noise, anchor.p_a.T)
+                - rate_term_tangent(schedule.p_u.T, ne, qe, eve_total, noise,
                                     anchor.p_u.T)
-                + rate_term(schedule.p_a.T, ne, qe, aux.eve_an, noise))
+                + rate_term(schedule.p_a.T, ne, qe, eve_an, noise))
     return float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
 
 
@@ -198,10 +199,11 @@ def test_power_matches_grid_oracle_single_uav():
         # independent vectorized surrogate over the grid (constants dropped)
         nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
         qb, qe = scenario.loss_bob[:, 0], scenario.loss_eve[:, 0]
-        beta_b = nb / (qb * noise * np.exp(aux.bob_total))
-        beta_e = ne / (qe * noise * np.exp(aux.eve_an))
-        cb = nb / (noise * np.exp(aux.bob_an) * qb)
-        ce = ne / (noise * np.exp(aux.eve_total) * qe)
+        bob_total, bob_an, eve_total, eve_an = aux
+        beta_b = nb / (qb * noise * np.exp(bob_total))
+        beta_e = ne / (qe * noise * np.exp(eve_an))
+        cb = nb / (noise * np.exp(bob_an) * qb)
+        ce = ne / (noise * np.exp(eve_total) * qe)
         gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[0])
         gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[0])
 
@@ -416,7 +418,6 @@ def test_bcd_huge_epsilon_stops_after_one_iteration():
     trace = run_bcd(scenario, warm.schedule, warm.tau, epsilon=10.0, max_iter=50)
     assert len(trace.iterations) == 1
     assert trace.converged
-    assert trace.stop_reason == "fractional_increase_below_epsilon"
 
 
 def test_bcd_rejects_infeasible_start():
@@ -458,7 +459,7 @@ def test_bcd_monotone_feasible_and_consistent():
     assert trace.converged
     assert trace.is_monotone()
     final = trace.final
-    assert final.objective >= trace.initial_objective - 1e-10
+    assert final.objective >= trace.initial.objective - 1e-10
     assert final.diagnostics["max_violation"] <= 1e-9
     assert final.diagnostics["power_inner_iters"] >= 1
     # the recorded objective is the closed form at the recorded point
@@ -500,9 +501,9 @@ def test_solution_trace_monotone_tolerance():
         return IterationRecord(objective=val, objective_clipped=val,
                                schedule=None, tau=None, aux=None)
 
-    up = SolutionTrace(1.0, [rec(1.1), rec(1.2)], True, "x")
+    up = SolutionTrace(rec(1.0), [rec(1.1), rec(1.2)], True)
     assert up.is_monotone()
-    dip = SolutionTrace(1.0, [rec(1.1), rec(1.1 - 1e-9)], True, "x")
+    dip = SolutionTrace(rec(1.0), [rec(1.1), rec(1.1 - 1e-9)], True)
     assert dip.is_monotone()
-    drop = SolutionTrace(1.0, [rec(1.1), rec(0.9)], True, "x")
+    drop = SolutionTrace(rec(1.0), [rec(1.1), rec(0.9)], True)
     assert not drop.is_monotone()

@@ -10,8 +10,10 @@ from scipy.special import exp1
 
 from swarmsec.channel import substream
 from swarmsec.errors import NumericalError
-from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, AuxVariables,
-                            ergodic_rate_mc, fixed_point_residual, rate_term,
+from swarmsec.optimizer import (solve_duration_lp, solve_power_subproblem,
+                                throughput_at_aux)
+from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, ergodic_rate_mc,
+                            fixed_point_residual, per_slot_secrecy, rate_term,
                             secrecy_throughput_closed_form,
                             secrecy_throughput_mc, solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
@@ -269,8 +271,10 @@ def test_throughput_all_noise_is_exactly_zero():
                                                           np.ones(scenario.n_slots))
     assert value == 0.0
     assert np.all(per_slot == 0.0)
-    assert np.array_equal(aux.bob_total, aux.bob_an)
-    assert np.array_equal(aux.eve_total, aux.eve_an)
+    assert aux.shape == (4, scenario.n_slots)
+    bob_total, bob_an, eve_total, eve_an = aux
+    assert np.array_equal(bob_total, bob_an)
+    assert np.array_equal(eve_total, eve_an)
 
 
 def test_throughput_duration_weighting():
@@ -304,10 +308,28 @@ def test_throughput_shape_validation():
 
 
 def test_aux_variables_validation():
-    with pytest.raises(ValueError):
-        AuxVariables(np.array([-0.1]), np.zeros(1), np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        AuxVariables(np.zeros((1, 1)), np.zeros(1), np.zeros(1), np.zeros(1))
+    # every consumer of the (4, N) aux array rejects a negative or non-finite
+    # value and any other shape: (4, 1) rows that would broadcast over all N
+    # slots, 3-D arrays, three rows, a single row
+    scenario = small_scenario(n_slots=10)
+    schedule = feasible_schedule(scenario)
+    tau = np.ones(scenario.n_slots)
+    _, aux, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
+    negative = aux.copy()
+    negative[0, 3] = -0.1
+    non_finite = aux.copy()
+    non_finite[2, 5] = np.inf
+    bad = [negative, non_finite, np.zeros((4, 1)), np.zeros((4, 1, 1)),
+           aux[:, :, None], aux[:3], aux[0]]
+    uses = [lambda a: per_slot_secrecy(scenario, schedule, a),
+            lambda a: throughput_at_aux(scenario, schedule, tau, a),
+            lambda a: solve_duration_lp(a, schedule, scenario),
+            lambda a: solve_power_subproblem(a, tau, schedule, scenario)]
+    for use in uses:
+        use(aux)
+        for a in bad:
+            with pytest.raises(ValueError):
+                use(a)
 
 
 # ---------------------------------------------------------------------------
