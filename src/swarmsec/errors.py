@@ -7,3 +7,7 @@ class NumericalError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+class InfeasibleStartError(ValueError):
+    """A starting point breaks a budget by more than the optimizer's feasibility tolerance."""

@@ -1,19 +1,7 @@
 """Experiment harness: configuration, topology generation, baseline, drivers, CLI."""
 
-from .baseline import baseline_null_space, baseline_power_split
-from .config import ScenarioConfig, config_from_dict, config_to_dict, load_config, save_config
-from .experiments import ExperimentResult, run_experiment
+from .config import ScenarioConfig, load_config
+from .experiments import run_experiment
 from .topology import generate_topology
 
-__all__ = [
-    "ScenarioConfig",
-    "ExperimentResult",
-    "baseline_null_space",
-    "baseline_power_split",
-    "config_from_dict",
-    "config_to_dict",
-    "generate_topology",
-    "load_config",
-    "run_experiment",
-    "save_config",
-]
+__all__ = ["ScenarioConfig", "generate_topology", "load_config", "run_experiment"]

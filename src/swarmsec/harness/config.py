@@ -22,13 +22,16 @@ SWEEPABLE = ("p_max_dbm", "e_max_j", "n_uavs", "environment")
 
 @dataclass
 class ScenarioConfig:
+    """Every field is converted to its type and range-checked on construction,
+    so YAML, keyword arguments and ``dataclasses.replace`` get the same checks."""
+
     # propagation
     environment: str = "suburban"
     eta_los_db: float | None = None   # used only when environment == "custom"
     eta_nlos_db: float | None = None
-    env_a: float = 5.0188
-    env_b: float = 0.3511
-    carrier_freq_hz: float = 2.4e9
+    env_a: float = EnvironmentParams.a
+    env_b: float = EnvironmentParams.b
+    carrier_freq_hz: float = EnvironmentParams.carrier_freq_hz
 
     # layout
     n_uavs: int = 7
@@ -66,16 +69,12 @@ class ScenarioConfig:
     sweep_values: list = field(default_factory=lambda: [50.0, 100.0, 150.0, 200.0, 250.0, 300.0])
     n_topologies: int = 100
     replicates: int = 1
-    validate_p_a_dbm: list = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0])
-    validate_p_s_dbm: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    validate_p_a_dbm: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0])
+    validate_p_s_dbm: list[float] = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
 
     def __post_init__(self):
-        for name in ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"):
-            if not isinstance(getattr(self, name), (list, tuple)) or not getattr(self, name):
-                raise ValueError(f"{name} must be a non-empty list")
-        for name in ("validate_p_a_dbm", "validate_p_s_dbm"):
-            for v in getattr(self, name):
-                _as_float(name, v)
+        for name in _FIELD_TYPES:
+            setattr(self, name, _coerce(name, getattr(self, name)))
         if self.sweep_variable not in SWEEPABLE:
             raise ValueError(f"sweep_variable must be one of {SWEEPABLE}, "
                              f"got {self.sweep_variable!r}")
@@ -93,13 +92,13 @@ class ScenarioConfig:
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
         for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas", "mc_samples",
                      "baseline_samples", "bcd_max_iter", "n_topologies", "replicates"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if int(self.eve_grid_points) < 8:
+        if self.eve_grid_points < 8:
             raise ValueError("eve_grid_points must be at least 8")
         if not self.bcd_epsilon > 0:
             raise ValueError("bcd_epsilon must be positive")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
             raise ValueError("altitudes must satisfy 0 < altitude_min_m <= altitude_max_m")
@@ -113,8 +112,7 @@ class ScenarioConfig:
 
     def environment_params(self) -> EnvironmentParams:
         if self.environment == "custom":
-            base = EnvironmentParams(eta_los_db=float(self.eta_los_db),
-                                     eta_nlos_db=float(self.eta_nlos_db))
+            base = EnvironmentParams(eta_los_db=self.eta_los_db, eta_nlos_db=self.eta_nlos_db)
         else:
             base = environment_preset(self.environment)
         return dataclasses.replace(base, a=self.env_a, b=self.env_b,
@@ -169,6 +167,10 @@ def _coerce(name: str, v):
         return None if v is None else _as_float(name, v)
     if kind == "str" and not isinstance(v, str):
         raise ValueError(f"{name} must be a string, got {v!r}")
+    if kind.startswith("list"):
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ValueError(f"{name} must be a non-empty list")
+        return [_as_float(name, x) for x in v] if kind == "list[float]" else list(v)
     return v
 
 
@@ -182,7 +184,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     unknown = sorted(str(k) for k in raw if k not in _FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return ScenarioConfig(**{name: _coerce(name, v) for name, v in raw.items()})
+    return ScenarioConfig(**raw)
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

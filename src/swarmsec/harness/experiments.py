@@ -30,7 +30,8 @@ import yaml
 
 from .. import __version__
 from ..channel import dbm_to_watts, derive_seed, substream
-from ..optimizer import FEASIBILITY_TOL, audit_feasibility, run_bcd
+from ..errors import InfeasibleStartError
+from ..optimizer import audit_feasibility, run_bcd
 from ..rates import secrecy_throughput_closed_form, secrecy_throughput_mc
 from ..scenario import PowerSchedule, Scenario, uniform_schedule
 from .baseline import baseline_null_space
@@ -96,7 +97,9 @@ def initial_point(scenario: Scenario, config: ScenarioConfig):
 
     Each slot gets one second, shortened where a budget would otherwise be
     broken: the per-slot cap, the total time, or the energy that N slots at
-    the start power use.
+    the start power use. That duration can break its budget by a rounding
+    step, so it is stepped down one float at a time until ``audit_feasibility``
+    reports no violation at all (the powers are clipped into their box).
     """
     schedule = uniform_schedule(scenario,
                                 dbm_to_watts(config.init_p_u_dbm),
@@ -106,7 +109,10 @@ def initial_point(scenario: Scenario, config: ScenarioConfig):
     p_u = float(schedule.p_u.max())
     if p_u > 0.0:
         duration = min(duration, b.e_max_j / (n * p_u))
-    return schedule, np.full(n, duration)
+    tau = np.full(n, duration)
+    while max(audit_feasibility(scenario, schedule, tau).values()) > 0.0:
+        tau = np.nextafter(tau, 0.0)
+    return schedule, tau
 
 
 def _optimize_once(config: ScenarioConfig, seed: int):
@@ -129,8 +135,8 @@ def _run_validate(config: ScenarioConfig):
     for p_a_dbm in config.validate_p_a_dbm:
         for p_s_dbm in config.validate_p_s_dbm:
             start = time.perf_counter()
-            p_a = dbm_to_watts(float(p_a_dbm))
-            p_u = p_a + dbm_to_watts(float(p_s_dbm))
+            p_a = dbm_to_watts(p_a_dbm)
+            p_u = p_a + dbm_to_watts(p_s_dbm)
             shape = (scenario.n_uavs, scenario.n_slots)
             schedule = PowerSchedule(np.full(shape, p_u), np.full(shape, p_a))
             r_closed, _, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
@@ -140,7 +146,7 @@ def _run_validate(config: ScenarioConfig):
             abs_gap = abs(r_closed - mc.mean)
             rel_gap = abs_gap / max(mc.mean, 0.01)
             tol_ok = abs_gap <= 0.05 * max(mc.mean, 0.01) + 2.0 * mc.std_error
-            rows.append([config.environment, float(p_a_dbm), float(p_s_dbm),
+            rows.append([config.environment, p_a_dbm, p_s_dbm,
                          r_closed, mc.mean, mc.std_error, abs_gap, rel_gap,
                          tol_ok, time.perf_counter() - start])
     return header, rows, []
@@ -204,11 +210,11 @@ def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
 
 
 def _run_sweep(config: ScenarioConfig, jobs: int):
-    """Re-optimize at each sweep value from a cold start and, when possible,
-    warm-started from the previous point's solution, keeping the better
-    stationary point. Growing budgets keep the previous solution feasible, so
-    the emitted curve is nondecreasing by construction for increasing sweeps
-    over p_max_dbm, e_max_j, or n_uavs. Runs serially (the chain is ordered).
+    """Re-optimize at each sweep value from a cold start and, when ``run_bcd``
+    accepts the carried start, from the previous point's solution, keeping the
+    best of the two runs and that start (``hold``). Growing budgets keep the
+    previous solution feasible, so the curve is nondecreasing by construction
+    for increasing sweeps over p_max_dbm, e_max_j, or n_uavs. Runs serially.
     """
     del jobs  # warm starts chain the points; parallel execution would break them
     header = ["sweep_variable", "sweep_value", "objective", "objective_clipped",
@@ -229,14 +235,14 @@ def _run_sweep(config: ScenarioConfig, jobs: int):
         candidates.append(("cold", cold.final, cold))
 
         if kept is not None:
-            warm_schedule = _carry_schedule(kept.schedule, scenario.n_uavs)
-            if (max(audit_feasibility(scenario, warm_schedule, kept.tau).values())
-                    <= FEASIBILITY_TOL):
-                warm = run_bcd(scenario, warm_schedule, kept.tau,
-                               epsilon=stepped.bcd_epsilon,
+            try:
+                warm = run_bcd(scenario, _carry_schedule(kept.schedule, scenario.n_uavs),
+                               kept.tau, epsilon=stepped.bcd_epsilon,
                                max_iter=stepped.bcd_max_iter)
-                candidates.append(("hold", warm.initial, None))
-                candidates.append(("warm", warm.final, warm))
+            except InfeasibleStartError:
+                pass  # a shrunken budget cuts the carried point off: cold start only
+            else:
+                candidates += [("hold", warm.initial, None), ("warm", warm.final, warm)]
 
         label, kept, trace = max(candidates, key=lambda c: c[1].objective)
         rows.append([variable, value, kept.objective, kept.objective_clipped,

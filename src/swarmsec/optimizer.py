@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import NumericalError
+from .errors import InfeasibleStartError, NumericalError
 from .rates import (LOG2E, _check_aux, _check_pair, _lane_stack, _log_slope,
                     _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
                     solve_fixed_point)
@@ -283,6 +283,9 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
               power_inner_iters: int = 0) -> IterationRecord:
     """Audit, score and record one point; ``previous`` is the point it improves on."""
     violations = audit_feasibility(scenario, schedule, tau)
+    max_violation = max(violations.values())
+    if previous is None and max_violation > FEASIBILITY_TOL:
+        raise InfeasibleStartError(f"initial point infeasible by {max_violation:.3e}")
     objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
     clipped = float(np.dot(tau, np.maximum(per_slot, 0.0)) / scenario.budgets.t_period_s)
     non_monotone = previous is not None and not _ascends(previous.objective, objective)
@@ -293,7 +296,7 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
         tau=np.array(tau, dtype=float),
         aux=aux,
         diagnostics={
-            "max_violation": max(violations.values()),
+            "max_violation": max_violation,
             "violations": violations,
             "non_monotone": non_monotone,
             "power_inner_iters": power_inner_iters,
@@ -330,7 +333,7 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
 
     Stops once the fractional objective increase drops below ``epsilon``
     (with a 1e-12 floor on the denominator) or after ``max_iter`` iterations.
-    The start must violate no constraint by more than ``FEASIBILITY_TOL``.
+    A start infeasible beyond ``FEASIBILITY_TOL`` raises ``InfeasibleStartError``.
     Every iterate is audited for feasibility; an objective decrease beyond
     ``MONOTONE_TOL`` relative is flagged in the iteration diagnostics rather
     than raised, since the surrogate-ascent guarantee is exact only to solver
@@ -339,9 +342,6 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
     eps_floor = 1e-12
     tau = _check_pair(scenario, init_schedule, init_tau)
     initial = _evaluate(scenario, init_schedule, tau)
-    start_violation = initial.diagnostics["max_violation"]
-    if start_violation > FEASIBILITY_TOL:
-        raise ValueError(f"initial point infeasible by {start_violation:.3e}")
 
     # the aux blocks' exact solution is the fixed points of the current
     # schedule, which the closed form that scored it has already returned

@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsec.channel import sample_small_scale, substream
+from swarmsec.errors import InfeasibleStartError
 from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
 from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
-from swarmsec.optimizer import audit_feasibility
+from swarmsec.optimizer import audit_feasibility, run_bcd
 from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
 
 
@@ -99,9 +100,15 @@ BAD_CONFIG_VALUES = [
 
 
 def test_config_rejects_bad_values():
+    # YAML, keyword construction and replace (CLI overrides, sweep steps)
+    # all get the same checks
     for raw in BAD_CONFIG_VALUES:
         with pytest.raises(ValueError):
             config_from_dict(raw)
+        with pytest.raises(ValueError):
+            ScenarioConfig(**raw)
+        with pytest.raises(ValueError):
+            dataclasses.replace(ScenarioConfig(), **raw)
     with pytest.raises(ValueError):
         ScenarioConfig(environment="atlantis")
     with pytest.raises(ValueError):
@@ -388,22 +395,28 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
 
 
 def test_optimize_trace_row_0_is_the_audited_start(tmp_path):
-    # an eavesdropper with more antennas than the user makes the start's
-    # secrecy rates negative, and 3 slots of 1.95/3 s at 1 W overshoot the
-    # 1.95 J budget by one rounding step: row 0 shows the start's clipped
-    # objective and its audited violation, as every later row does
-    cfg = ScenarioConfig(bob_antennas=2, eve_antennas=4, n_slots=3, e_max_j=1.95)
-    run_experiment(cfg, "optimize", tmp_path)
-    row = {k: float(v[0]) for k, v in _read_csv(tmp_path / "optimize_trace.csv").items()}
-    scenario = generate_topology(cfg, cfg.seed)
-    schedule, tau = initial_point(scenario, cfg)
-    value, _, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
-    violation = max(audit_feasibility(scenario, schedule, tau).values())
-    assert row["objective"] == value < 0.0
-    assert row["objective_clipped"] == float(np.dot(tau, np.maximum(per_slot, 0.0))
-                                             / cfg.t_period_s)
-    assert row["objective_clipped"] >= max(row["objective"], 0.0)
-    assert row["max_violation"] == violation > 0.0
+    # row 0 shows the start's clipped objective and its audited violation, as
+    # every later row does. An eavesdropper with more antennas than the user
+    # makes the first start's secrecy rates negative. Without its rounding
+    # steps, initial_point's 3 slots of 1.95/3 s at 1 W would overshoot the
+    # 1.95 J budget and its 11 slots of 7/11 s the 7 s total time
+    configs = (ScenarioConfig(bob_antennas=2, eve_antennas=4, n_slots=3, e_max_j=1.95),
+               ScenarioConfig(n_slots=11, t_total_s=7.0, tau_max_s=7.0))
+    objectives = []
+    for i, cfg in enumerate(configs):
+        run_experiment(cfg, "optimize", tmp_path / str(i))
+        row = {k: float(v[0])
+               for k, v in _read_csv(tmp_path / str(i) / "optimize_trace.csv").items()}
+        scenario = generate_topology(cfg, cfg.seed)
+        schedule, tau = initial_point(scenario, cfg)
+        value, _, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+        assert row["objective"] == value
+        assert row["objective_clipped"] == float(np.dot(tau, np.maximum(per_slot, 0.0))
+                                                 / cfg.t_period_s)
+        assert row["objective_clipped"] >= max(row["objective"], 0.0)
+        assert row["max_violation"] == 0.0
+        objectives.append(value)
+    assert objectives[0] < 0.0
 
 
 def test_process_pool_matches_serial_run(tmp_path):
@@ -500,9 +513,33 @@ def test_initial_point_fits_the_budgets():
     _, tau = initial_point(scenario, cfg)
     assert np.array_equal(tau, np.ones(cfg.n_slots))  # feasible starts keep 1 s
     lean = tiny_config(e_max_j=0.5)  # 2 slots at 27 dBm would need 1.0 J
-    schedule, tau = initial_point(generate_topology(lean, seed=4), lean)
+    scenario = generate_topology(lean, seed=4)
+    schedule, tau = initial_point(scenario, lean)
     assert np.all(tau < 1.0)
-    assert np.all(schedule.p_u @ tau <= lean.e_max_j + 1e-12)
+    assert max(audit_feasibility(scenario, schedule, tau).values()) == 0.0
+
+
+def test_sweep_skips_a_warm_start_the_budget_cuts_off(tmp_path, monkeypatch):
+    # the point optimized at 100 J breaks a 5 J budget: run_bcd rejects the
+    # carried start, and the sweep keeps the cold run at 5 J
+    from swarmsec.harness import experiments
+
+    rejected = []
+
+    def recording(*args, **kwargs):
+        try:
+            return run_bcd(*args, **kwargs)
+        except InfeasibleStartError as exc:
+            rejected.append(exc)
+            raise
+
+    monkeypatch.setattr(experiments, "run_bcd", recording)
+    cfg = tiny_config(sweep_variable="e_max_j", sweep_values=[100.0, 5.0])
+    run_experiment(cfg, "sweep", tmp_path)
+    cols = _read_csv(tmp_path / "sweep.csv")
+    assert cols["sweep_value"] == ["100", "5"]
+    assert cols["start"] == ["cold", "cold"]
+    assert len(rejected) == 1
 
 
 def test_cli_optimize_small_energy_budget(tmp_path):
