@@ -9,13 +9,12 @@ knowledge toward the user and more swarm members than user antennas.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import RateEstimate, _check_tau, _logdet2_quadratic, _rate_draws
-from ..scenario import Scenario
+from ..rates import (RateEstimate, _check_tau, _logdet2_quadratic, _rate_draws,
+                     _weighted_estimate)
+from ..scenario import Scenario, check_count
 
 
 def baseline_power_split(bob_antennas: int, eve_antennas: int) -> float:
@@ -36,8 +35,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     secrecy rates are clipped to zero before duration weighting.
     """
     tau = _check_tau(scenario, tau)
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    samples = check_count("samples", samples, minimum=2)
     n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas
     if n_uavs <= nb:
         raise ValueError("null-space noise needs more swarm members than user antennas")
@@ -74,8 +72,4 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
-
-    period = scenario.budgets.t_period_s
-    mean = float(np.dot(tau, np.maximum(diffs, 0.0)) / period)
-    stderr = float(math.sqrt(np.dot(tau ** 2, variances)) / period)
-    return RateEstimate(mean=mean, std_error=stderr, samples=samples)
+    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances, samples)

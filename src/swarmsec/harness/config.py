@@ -20,10 +20,11 @@ from ..scenario import Budgets
 SWEEPABLE = ("p_max_dbm", "e_max_j", "n_uavs", "environment")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Every field is converted to its type and range-checked on construction,
-    so YAML, keyword arguments and ``dataclasses.replace`` get the same checks."""
+    so YAML, keyword arguments and ``dataclasses.replace`` get the same checks.
+    A config is frozen: ``dataclasses.replace`` derives a changed one."""
 
     # propagation
     environment: str = "suburban"
@@ -74,15 +75,16 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in _FIELD_TYPES:
-            setattr(self, name, _coerce(name, getattr(self, name)))
+            object.__setattr__(self, name, _coerce(name, getattr(self, name)))
         if self.sweep_variable not in SWEEPABLE:
             raise ValueError(f"sweep_variable must be one of {SWEEPABLE}, "
                              f"got {self.sweep_variable!r}")
-        self.sweep_values = [_coerce(self.sweep_variable, v) for v in self.sweep_values]
+        object.__setattr__(self, "sweep_values",
+                           [_coerce(self.sweep_variable, v) for v in self.sweep_values])
         self._check_scalars()
         for v in self.sweep_values:  # each sweep point must load too
             stepped = copy.copy(self)
-            setattr(stepped, self.sweep_variable, v)
+            object.__setattr__(stepped, self.sweep_variable, v)
             stepped._check_scalars()
 
     def _check_scalars(self) -> None:

@@ -137,7 +137,7 @@ def _run_validate(config: ScenarioConfig):
             start = time.perf_counter()
             p_a = dbm_to_watts(p_a_dbm)
             p_u = p_a + dbm_to_watts(p_s_dbm)
-            shape = (scenario.n_uavs, scenario.n_slots)
+            shape = (scenario.n_slots, scenario.n_uavs)
             schedule = PowerSchedule(np.full(shape, p_u), np.full(shape, p_a))
             r_closed, _, _ = secrecy_throughput_closed_form(scenario, schedule, tau)
             # the same substream at every grid point: common random numbers
@@ -165,8 +165,8 @@ def _run_optimize(config: ScenarioConfig):
     solution_rows = []
     for n in range(scenario.n_slots):
         for l in range(scenario.n_uavs):
-            solution_rows.append([n, l, final.schedule.p_u[l, n],
-                                  final.schedule.p_a[l, n], final.tau[n]])
+            solution_rows.append([n, l, final.schedule.p_u[n, l],
+                                  final.schedule.p_a[n, l], final.tau[n]])
     extra = [("optimize_solution.csv", solution_header, solution_rows)]
     return header, rows, extra
 
@@ -198,15 +198,13 @@ def _run_baseline(config: ScenarioConfig, jobs: int):
 
 def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
     """Adapt a schedule to a new swarm size; added members start silent."""
-    carried = prev.copy()
-    have = carried.p_u.shape[0]
-    if n_uavs > have:
-        pad = np.zeros((n_uavs - have, carried.p_u.shape[1]))
-        carried = PowerSchedule(np.vstack([carried.p_u, pad]),
-                                np.vstack([carried.p_a, pad]))
-    elif n_uavs < have:
-        carried = PowerSchedule(carried.p_u[:n_uavs], carried.p_a[:n_uavs])
-    return carried
+    have = prev.p_u.shape[1]
+    if n_uavs == have:
+        return prev
+    if n_uavs < have:
+        return PowerSchedule(prev.p_u[:, :n_uavs], prev.p_a[:, :n_uavs])
+    pad = ((0, 0), (0, n_uavs - have))
+    return PowerSchedule(np.pad(prev.p_u, pad), np.pad(prev.p_a, pad))
 
 
 def _run_sweep(config: ScenarioConfig, jobs: int):

@@ -77,7 +77,7 @@ def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau, aux) -> 
 def _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max):
     """Per-slot maximizers of the surrogate given the energy multiplier.
 
-    Solves, elementwise over (UAV, slot) grids,
+    Solves, elementwise over (slot, UAV) grids,
         max  log2(1 + beta_b*u) - gamma_e*u - lam*u + log2(1 + beta_e*a) - gamma_b*a
         s.t. 0 <= a <= u <= p_max.
     The unconstrained pair has closed forms; when they cross (a would exceed
@@ -108,17 +108,17 @@ def _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max):
 
 
 def _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max):
-    """Energy-constrained surrogate maximization, one independent row per UAV."""
-    n_rows = beta_b.shape[0]
+    """Energy-constrained surrogate maximization, one independent column per UAV."""
+    n_uavs = beta_b.shape[1]
 
     def used(lam):
-        u, _ = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam[:, None], p_max)
-        return u @ tau
+        u, _ = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
+        return tau @ u
 
-    lam = np.zeros(n_rows)
+    lam = np.zeros(n_uavs)
     need = used(lam) > e_max
     if np.any(need):
-        hi = np.ones(n_rows)
+        hi = np.ones(n_uavs)
         for _ in range(200):
             over = need & (used(hi) > e_max)
             if not over.any():
@@ -127,7 +127,7 @@ def _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max):
         else:
             raise NumericalError("failed to bracket the energy multiplier",
                                  {"hi": float(hi.max())})
-        lo = np.zeros(n_rows)
+        lo = np.zeros(n_uavs)
         for _ in range(120):
             mid = 0.5 * (lo + hi)
             over = used(np.where(need, mid, 0.0)) > e_max
@@ -136,23 +136,23 @@ def _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max):
         # the hi side is certified feasible throughout the bisection
         lam = np.where(need, hi, 0.0)
 
-    u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam[:, None], p_max)
+    u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
     return u, a, lam
 
 
 def _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max,
                         u, a, lam):
-    """Max projected-gradient/feasibility residual over energy-active rows."""
+    """Max projected-gradient/feasibility residual over the slots with airtime."""
     active = tau > 0.0
     if not active.any():
         return 0.0
-    gu = _log_slope(beta_b, u) - gamma_e - lam[:, None]
+    gu = _log_slope(beta_b, u) - gamma_e - lam
     ga = _log_slope(beta_e, a) - gamma_b
     # unit-step projection; the feasible interval of u is [a, p_max], of a is [0, u]
     r_u = np.abs(u - np.clip(u + gu, a, p_max))
     r_a = np.abs(a - np.clip(a + ga, 0.0, u))
-    r_proj = max(float(r_u[:, active].max()), float(r_a[:, active].max()))
-    energy = u @ tau
+    r_proj = max(float(r_u[active].max()), float(r_a[active].max()))
+    energy = tau @ u
     r_energy = float(np.maximum(energy - e_max, 0.0).max())
     r_comp = float((lam * np.maximum(e_max - energy, 0.0)).max())
     return max(r_proj, r_energy, r_comp)
@@ -164,7 +164,7 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
 
     The surrogate keeps the scheduled user's total-power term and the
     eavesdropper's noise term exact (concave) and linearizes the other two at
-    ``schedule_prev``. The problem separates across UAVs; each row is solved
+    ``schedule_prev``. The problem separates across UAVs; each one is solved
     by bisection on its energy multiplier with closed-form slot solutions.
     Slots with zero duration keep their previous powers verbatim. Raises
     NumericalError if the KKT residual audit exceeds ``POWER_KKT_TOL``.
@@ -174,11 +174,11 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
 
     # per-term coefficients and the anchor's slopes, (4, N, L) in TERMS order;
     # the exact terms keep their coefficient (beta), the linearized ones their
-    # slope (gamma), each as an (L, N) grid
+    # slope (gamma), each as an (N, L) grid
     p, n, q = _lane_stack(scenario, schedule_prev)
     coef = _snr_coefficient(n, q, _check_aux(aux, scenario), scenario.noise_w)
     slope = _log_slope(coef, p)
-    beta_b, gamma_b, gamma_e, beta_e = coef[0].T, slope[1].T, slope[2].T, coef[3].T
+    beta_b, gamma_b, gamma_e, beta_e = coef[0], slope[1], slope[2], coef[3]
 
     u, a, lam = _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, b.p_max_w, b.e_max_j)
 
@@ -190,8 +190,8 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
 
     idle = tau == 0.0
     if idle.any():
-        u[:, idle] = schedule_prev.p_u[:, idle]
-        a[:, idle] = schedule_prev.p_a[:, idle]
+        u[idle] = schedule_prev.p_u[idle]
+        a[idle] = schedule_prev.p_a[idle]
     return PowerSchedule(u, a)
 
 
@@ -208,7 +208,7 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
     b = scenario.budgets
     coeff = per_slot_secrecy(scenario, schedule, aux) / b.t_period_s
     n = scenario.n_slots
-    a_ub = np.vstack([schedule.p_u, np.ones((1, n))])
+    a_ub = np.vstack([schedule.p_u.T, np.ones((1, n))])  # one energy row per UAV
     b_ub = np.concatenate([np.full(scenario.n_uavs, b.e_max_j), [b.t_total_s]])
     res = linprog(-coeff, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, b.tau_max_s)] * n,
                   method="highs-ds")
@@ -229,7 +229,7 @@ def audit_feasibility(scenario: Scenario, schedule: PowerSchedule, tau) -> dict:
         "an_nonneg": float(max(0.0, -schedule.p_a.min())),
         "an_le_total": float(max(0.0, (schedule.p_a - schedule.p_u).max())),
         "power_cap": float(max(0.0, (schedule.p_u - b.p_max_w).max())),
-        "energy": float(max(0.0, (schedule.p_u @ tau - b.e_max_j).max())),
+        "energy": float(max(0.0, (tau @ schedule.p_u - b.e_max_j).max())),
         "tau_nonneg": float(max(0.0, -tau.min())),
         "tau_cap": float(max(0.0, (tau - b.tau_max_s).max())),
         "time_total": float(max(0.0, tau.sum() - b.t_total_s)),
@@ -292,7 +292,7 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
     return IterationRecord(
         objective=objective,
         objective_clipped=clipped,
-        schedule=schedule.copy(),
+        schedule=schedule,
         tau=np.array(tau, dtype=float),
         aux=aux,
         diagnostics={

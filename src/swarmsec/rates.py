@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import sample_small_scale
 from .errors import NumericalError
-from .scenario import PowerSchedule, Scenario
+from .scenario import PowerSchedule, Scenario, check_count
 
 LOG2E = math.log2(math.e)
 
@@ -208,8 +208,7 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     Per fading draw the rate is
     log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1), see ``_rate_draws``.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = check_count("samples", samples)
     p_num = np.asarray(p_num, dtype=float)
     p_den, losses = _check_term_inputs(p_den, losses, noise)
     if (p_den.ndim != 1 or p_num.shape != p_den.shape or np.any(p_num < 0.0)
@@ -233,16 +232,16 @@ def _check_tau(scenario: Scenario, tau) -> np.ndarray:
 
 
 def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
-    if schedule.shape != (scenario.n_uavs, scenario.n_slots):
-        raise ValueError(f"schedule shape {schedule.shape} does not match the scenario "
-                         f"({scenario.n_uavs} UAVs, {scenario.n_slots} slots)")
+    if schedule.p_u.shape != (scenario.n_slots, scenario.n_uavs):
+        raise ValueError(f"schedule shape {schedule.p_u.shape} does not match the scenario "
+                         f"({scenario.n_slots} slots, {scenario.n_uavs} UAVs)")
     return _check_tau(scenario, tau)
 
 
 def _lane_stack(scenario: Scenario, schedule: PowerSchedule):
     """Powers and losses as (4, N, L) stacks and antenna counts as a (4, 1)
     column, one row per rate term in ``TERMS`` order."""
-    p_u, p_a = schedule.p_u.T, schedule.p_a.T
+    p_u, p_a = schedule.p_u, schedule.p_a
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     p = np.stack([p_u, p_a, p_u, p_a])
     q = np.stack([scenario.loss_bob, scenario.loss_bob, scenario.loss_eve, scenario.loss_eve])
@@ -299,7 +298,7 @@ def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,
     diffs = np.empty(scenario.n_slots)
     variances = np.empty(scenario.n_slots)
     for i in range(scenario.n_slots):
-        pu, pa = schedule.p_u[:, i], schedule.p_a[:, i]
+        pu, pa = schedule.p_u[i], schedule.p_a[i]
         ps = np.maximum(pu - pa, 0.0)
         bob = ergodic_rate_mc(scenario.loss_bob[i], ps, pa, noise, nb,
                               samples, streams[2 * i])
@@ -307,8 +306,14 @@ def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,
                               samples, streams[2 * i + 1])
         diffs[i] = bob.mean - eve.mean
         variances[i] = bob.std_error ** 2 + eve.std_error ** 2
+    return _weighted_estimate(scenario, tau, diffs, variances, samples)
 
+
+def _weighted_estimate(scenario: Scenario, tau, diffs, variances,
+                      samples: int) -> RateEstimate:
+    """Per-slot estimates averaged over the period, weighted by the slot durations;
+    the per-slot variances propagate to the standard error."""
     period = scenario.budgets.t_period_s
-    mean = float(np.dot(tau, diffs) / period)
-    stderr = float(math.sqrt(np.dot(tau ** 2, variances)) / period)
-    return RateEstimate(mean=mean, std_error=stderr, samples=samples)
+    return RateEstimate(mean=float(np.dot(tau, diffs) / period),
+                        std_error=float(math.sqrt(np.dot(tau ** 2, variances)) / period),
+                        samples=samples)

@@ -31,6 +31,14 @@ class Budgets:
                              "transmission time")
 
 
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """An integer count of at least ``minimum``; floats and booleans are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One downlink instance: a swarm serving N users with an eavesdropper per slot.
@@ -67,8 +75,8 @@ class Scenario:
             raise ValueError("node coordinates must be finite")
         if np.any(uav[..., 2] <= 0.0):
             raise ValueError("every transmitter must be airborne (z > 0)")
-        if self.bob_antennas < 1 or self.eve_antennas < 1:
-            raise ValueError("both receivers need at least one antenna")
+        for name in ("bob_antennas", "eve_antennas"):
+            check_count(name, getattr(self, name))
         if not (np.isfinite(self.noise_w) and self.noise_w > 0.0):
             raise ValueError(f"noise power must be positive, got {self.noise_w}")
 
@@ -93,37 +101,27 @@ class Scenario:
         return self.uav_xyz.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PowerSchedule:
-    """Per-UAV, per-slot transmit powers in watts, shaped (L, N).
+    """Per-slot, per-UAV transmit powers in watts, shaped (N, L) like the losses.
 
     ``p_u`` is the total radiated power (confidential signal plus artificial
     noise), ``p_a`` the artificial-noise share; the signal power is their
-    difference.
+    difference. Both are stored as read-only copies of the given arrays.
     """
 
     p_u: np.ndarray
     p_a: np.ndarray
 
     def __post_init__(self):
-        self.p_u = np.atleast_2d(np.asarray(self.p_u, dtype=float))
-        self.p_a = np.atleast_2d(np.asarray(self.p_a, dtype=float))
-        if self.p_u.shape != self.p_a.shape:
-            raise ValueError(f"shape mismatch: {self.p_u.shape} vs {self.p_a.shape}")
-        if not (np.all(np.isfinite(self.p_u)) and np.all(np.isfinite(self.p_a))):
+        p_u, p_a = np.array(self.p_u, dtype=float), np.array(self.p_a, dtype=float)
+        if p_u.ndim != 2 or p_u.shape != p_a.shape:
+            raise ValueError(f"p_u and p_a must share one 2-D shape, got {p_u.shape}, {p_a.shape}")
+        if not (np.all(np.isfinite(p_u)) and np.all(np.isfinite(p_a))):
             raise ValueError("powers must be finite")
-
-    @property
-    def p_s(self) -> np.ndarray:
-        """Confidential-signal power, p_u - p_a."""
-        return self.p_u - self.p_a
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.p_u.shape
-
-    def copy(self) -> "PowerSchedule":
-        return PowerSchedule(self.p_u.copy(), self.p_a.copy())
+        for name, value in (("p_u", p_u), ("p_a", p_a)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def uniform_schedule(scenario: Scenario, p_u_w: float, p_a_w: float) -> PowerSchedule:
@@ -134,5 +132,5 @@ def uniform_schedule(scenario: Scenario, p_u_w: float, p_a_w: float) -> PowerSch
     """
     p_u = min(max(float(p_u_w), 0.0), scenario.budgets.p_max_w)
     p_a = min(max(float(p_a_w), 0.0), p_u)
-    shape = (scenario.n_uavs, scenario.n_slots)
+    shape = (scenario.n_slots, scenario.n_uavs)
     return PowerSchedule(np.full(shape, p_u), np.full(shape, p_a))

@@ -55,7 +55,7 @@ def small_scenario(n_uavs=3, n_slots=2, bob_antennas=2, eve_antennas=2,
 
 def feasible_schedule(scenario, p_u_frac=0.5, p_a_frac=0.2):
     """Uniform feasible schedule at fractions of the power cap."""
-    shape = (scenario.n_uavs, scenario.n_slots)
+    shape = (scenario.n_slots, scenario.n_uavs)
     p_max = scenario.budgets.p_max_w
     return PowerSchedule(np.full(shape, p_u_frac * p_max),
                          np.full(shape, p_a_frac * p_max))

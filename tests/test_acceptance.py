@@ -137,9 +137,9 @@ def _duration_vertex_oracle(coeff, p_u, e_max, t_total, tau_max):
     n = 3
     rows = [np.eye(n)[i] for i in range(n)]          # tau_i <= tau_max
     rows += [-np.eye(n)[i] for i in range(n)]        # -tau_i <= 0
-    rows += [p_u[l] for l in range(p_u.shape[0])]    # per-UAV energy rows
+    rows += [p_u[:, l] for l in range(p_u.shape[1])]  # per-UAV energy rows
     rows += [np.ones(n)]                             # total hover time
-    rhs = [tau_max] * n + [0.0] * n + [e_max] * p_u.shape[0] + [t_total]
+    rhs = [tau_max] * n + [0.0] * n + [e_max] * p_u.shape[1] + [t_total]
     a, b = np.array(rows), np.array(rhs)
     best = -np.inf
     for idx in itertools.combinations(range(len(rows)), n):
@@ -162,8 +162,8 @@ def test_criterion_5_subproblems_match_oracles():
                           t_total_s=12.0, tau_max_s=8.0, t_period_s=210.0)
         scenario = small_scenario(n_uavs=2, n_slots=3, rng_seed=seed, budgets=budgets,
                                   eve_distance_m=float(rng.uniform(40.0, 200.0)))
-        u = rng.uniform(0.1, 1.0, (2, 3))
-        schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (2, 3)) * u)
+        u = rng.uniform(0.1, 1.0, (3, 2))
+        schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (3, 2)) * u)
         bob_total, eve_an = solve_aux_block_min(schedule, np.ones(3), scenario)
         bob_an, eve_total = solve_aux_block_max(schedule, np.ones(3), scenario)
         aux = np.stack([bob_total, bob_an, eve_total, eve_an])
@@ -180,7 +180,7 @@ def test_criterion_5_subproblems_match_oracles():
         scenario = small_scenario(n_uavs=1, n_slots=2, rng_seed=seed,
                                   budgets=budgets, eve_distance_m=60.0)
         tau = np.array([3.0, 4.0])
-        anchor = PowerSchedule(np.full((1, 2), 0.3), np.full((1, 2), 0.1))
+        anchor = PowerSchedule(np.full((2, 1), 0.3), np.full((2, 1), 0.1))
         bob_total, eve_an = solve_aux_block_min(anchor, tau, scenario)
         bob_an, eve_total = solve_aux_block_max(anchor, tau, scenario)
         aux = np.stack([bob_total, bob_an, eve_total, eve_an])
@@ -193,8 +193,8 @@ def test_criterion_5_subproblems_match_oracles():
         beta_e = ne / (qe * noise * np.exp(eve_an))
         cb = nb / (noise * np.exp(bob_an) * qb)
         ce = ne / (noise * np.exp(eve_total) * qe)
-        gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[0])
-        gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[0])
+        gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[:, 0])
+        gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[:, 0])
         grid = np.arange(0.0, 1.0 + step / 2, step)
         u1, a1, u2, a2 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
         feas = (a1 <= u1) & (a2 <= u2) & (tau[0] * u1 + tau[1] * u2 <= 5.0 + 1e-12)
@@ -205,7 +205,7 @@ def test_criterion_5_subproblems_match_oracles():
         best = np.unravel_index(np.argmax(np.where(feas, val, -np.inf)), val.shape)
         grid_point = np.array([grid[i] for i in best])
         solver_point = np.array([out.p_u[0, 0], out.p_a[0, 0],
-                                 out.p_u[0, 1], out.p_a[0, 1]])
+                                 out.p_u[1, 0], out.p_a[1, 0]])
         power_gap = max(power_gap, float(np.max(np.abs(solver_point - grid_point))))
 
     elapsed = time.perf_counter() - start

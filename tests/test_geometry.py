@@ -22,9 +22,9 @@ _GOOD = positions([make_slot((0.0, 0.0), [(1.0, 0.0, 120.0), (0.0, 2.0, 150.0)],
 
 
 def _build(**fields):
-    return Scenario(env=environment_preset("urban"), **{**_GOOD, **fields},
-                    bob_antennas=2, eve_antennas=2, noise_w=1e-13,
-                    budgets=default_budgets())
+    return Scenario(env=environment_preset("urban"),
+                    **{**_GOOD, "bob_antennas": 2, "eve_antennas": 2, **fields},
+                    noise_w=1e-13, budgets=default_budgets())
 
 
 def _assert_all_rejected(bad):
@@ -70,6 +70,12 @@ def test_scenario_rejects_bad_shapes():
         dict(uav_xyz=uav[:0], bob_xy=np.empty((0, 2)), eve_xy=np.empty((0, 2))),
         dict(bob_xy=[[0.0, 0.0], [1.0, 1.0]]),
     ])
+
+
+def test_scenario_rejects_non_integer_antennas():
+    assert _build(eve_antennas=np.int64(3)).eve_antennas == 3
+    _assert_all_rejected([dict(eve_antennas=1.7), dict(bob_antennas=True),
+                          dict(bob_antennas=0), dict(eve_antennas="2")])
 
 
 def _free_space_db(d):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,15 @@ def test_config_from_dict_loads_or_raises_value_error(raw):
     cfg.environment_params()
 
 
+def test_config_cannot_be_changed_after_construction():
+    # attribute assignment would skip every check of __post_init__
+    cfg = ScenarioConfig(n_uavs=2, n_slots=1)
+    for name, value in (("eve_antennas", 1.7), ("seed", -5), ("bcd_epsilon", math.nan)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == ScenarioConfig(n_uavs=2, n_slots=1)
+
+
 def test_config_custom_environment():
     cfg = ScenarioConfig(environment="custom", eta_los_db=0.5, eta_nlos_db=25.0)
     env = cfg.environment_params()
@@ -220,6 +230,13 @@ def test_baseline_rejects_bad_durations():
     for tau in ([-1.0, 1.0], [float("nan"), 1.0], [float("inf"), 0.0], [1.0]):
         with pytest.raises(ValueError):
             baseline_null_space(scenario, tau, 100, substream(1, "b"))
+
+
+def test_baseline_rejects_bad_sample_counts():
+    scenario = generate_topology(tiny_config(n_uavs=4), seed=1)
+    for samples in (1, 2.5, True):
+        with pytest.raises(ValueError):
+            baseline_null_space(scenario, np.ones(2), samples, substream(1, "b"))
 
 
 def test_baseline_zero_signal_fraction_is_zero():
@@ -354,6 +371,13 @@ def test_optimize_experiment(tmp_path):
     p_u = np.array([float(v) for v in solution["p_u_w"]])
     p_a = np.array([float(v) for v in solution["p_a_w"]])
     assert np.all(p_a <= p_u + 1e-12) and np.all(p_u <= cfg.budgets().p_max_w + 1e-9)
+    # the row for slot n and UAV l holds schedule[n, l] (here L = 3 != N = 2)
+    scenario = generate_topology(cfg, cfg.seed)
+    final = run_bcd(scenario, *initial_point(scenario, cfg), epsilon=cfg.bcd_epsilon,
+                    max_iter=cfg.bcd_max_iter).final
+    for k, (n, l) in enumerate(zip(solution["slot"], solution["uav"])):
+        n, l = int(n), int(l)
+        assert p_u[k] == final.schedule.p_u[n, l] and p_a[k] == final.schedule.p_a[n, l]
     assert result.files[-1].name == "optimize_manifest.json"
 
 
@@ -596,3 +620,14 @@ def test_cli_seed_override_changes_output(tmp_path):
     c1 = _read_csv(tmp_path / "s1" / "optimize_trace.csv")
     c2 = _read_csv(tmp_path / "s2" / "optimize_trace.csv")
     assert c1["objective"] != c2["objective"]
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -46,11 +46,10 @@ def sca_surrogate_value(scenario, schedule, tau, aux, anchor):
     nb, ne, noise = scenario.bob_antennas, scenario.eve_antennas, scenario.noise_w
     qb, qe = scenario.loss_bob, scenario.loss_eve
     bob_total, bob_an, eve_total, eve_an = aux
-    per_slot = (rate_term(schedule.p_u.T, nb, qb, bob_total, noise)
-                - rate_term_tangent(schedule.p_a.T, nb, qb, bob_an, noise, anchor.p_a.T)
-                - rate_term_tangent(schedule.p_u.T, ne, qe, eve_total, noise,
-                                    anchor.p_u.T)
-                + rate_term(schedule.p_a.T, ne, qe, eve_an, noise))
+    per_slot = (rate_term(schedule.p_u, nb, qb, bob_total, noise)
+                - rate_term_tangent(schedule.p_a, nb, qb, bob_an, noise, anchor.p_a)
+                - rate_term_tangent(schedule.p_u, ne, qe, eve_total, noise, anchor.p_u)
+                + rate_term(schedule.p_a, ne, qe, eve_an, noise))
     return float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
 
 
@@ -124,7 +123,7 @@ def test_surrogate_lower_bounds_objective():
 
     rng = np.random.default_rng(47)
     for _ in range(20):
-        u = rng.uniform(0.0, 1.0, (scenario.n_uavs, scenario.n_slots))
+        u = rng.uniform(0.0, 1.0, (scenario.n_slots, scenario.n_uavs))
         a = rng.uniform(0.0, 1.0, u.shape) * u
         other = PowerSchedule(u, a)
         exact = throughput_at_aux(scenario, other, tau, aux)
@@ -170,10 +169,10 @@ def test_power_improves_surrogate_over_anchor():
         scenario = small_scenario(n_uavs=2, n_slots=3, rng_seed=seed,
                                   budgets=default_budgets(e_max_j=6.0))
         tau = rng.uniform(1.0, 6.0, 3)
-        u = rng.uniform(0.05, 0.5, (2, 3))
-        anchor = PowerSchedule(u, rng.uniform(0.0, 1.0, (2, 3)) * u)
+        u = rng.uniform(0.05, 0.5, (3, 2))
+        anchor = PowerSchedule(u, rng.uniform(0.0, 1.0, (3, 2)) * u)
         # keep the anchor inside the energy budget
-        scale = min(1.0, 6.0 / float((anchor.p_u @ tau).max()) * 0.9)
+        scale = min(1.0, 6.0 / float((tau @ anchor.p_u).max()) * 0.9)
         anchor = PowerSchedule(anchor.p_u * scale, anchor.p_a * scale)
         aux = _aux_from(anchor, tau, scenario)
         out = solve_power_subproblem(aux, tau, anchor, scenario)
@@ -192,7 +191,7 @@ def test_power_matches_grid_oracle_single_uav():
         scenario = small_scenario(n_uavs=1, n_slots=2, rng_seed=seed,
                                   budgets=budgets, eve_distance_m=60.0)
         tau = np.array([3.0, 4.0])
-        anchor = PowerSchedule(np.full((1, 2), 0.3), np.full((1, 2), 0.1))
+        anchor = PowerSchedule(np.full((2, 1), 0.3), np.full((2, 1), 0.1))
         aux = _aux_from(anchor, tau, scenario)
         out = solve_power_subproblem(aux, tau, anchor, scenario)
 
@@ -204,8 +203,8 @@ def test_power_matches_grid_oracle_single_uav():
         beta_e = ne / (qe * noise * np.exp(eve_an))
         cb = nb / (noise * np.exp(bob_an) * qb)
         ce = ne / (noise * np.exp(eve_total) * qe)
-        gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[0])
-        gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[0])
+        gamma_b = LOG2E * cb / (1.0 + cb * anchor.p_a[:, 0])
+        gamma_e = LOG2E * ce / (1.0 + ce * anchor.p_u[:, 0])
 
         grid = np.arange(0.0, 1.0 + step / 2, step)
         u1, a1, u2, a2 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
@@ -219,19 +218,19 @@ def test_power_matches_grid_oracle_single_uav():
         grid_point = np.array([grid[best[0]], grid[best[1]],
                                grid[best[2]], grid[best[3]]])
         solver_point = np.array([out.p_u[0, 0], out.p_a[0, 0],
-                                 out.p_u[0, 1], out.p_a[0, 1]])
+                                 out.p_u[1, 0], out.p_a[1, 0]])
         assert np.max(np.abs(solver_point - grid_point)) <= step + 1e-9
 
 
 def test_power_idle_slot_keeps_previous_values():
     scenario = small_scenario(n_uavs=2, n_slots=2)
     tau = np.array([5.0, 0.0])
-    anchor = PowerSchedule(np.array([[0.3, 0.7], [0.2, 0.4]]),
-                           np.array([[0.1, 0.6], [0.0, 0.2]]))
+    anchor = PowerSchedule(np.array([[0.3, 0.2], [0.7, 0.4]]),
+                           np.array([[0.1, 0.0], [0.6, 0.2]]))
     aux = _aux_from(anchor, tau, scenario)
     out = solve_power_subproblem(aux, tau, anchor, scenario)
-    assert np.array_equal(out.p_u[:, 1], anchor.p_u[:, 1])
-    assert np.array_equal(out.p_a[:, 1], anchor.p_a[:, 1])
+    assert np.array_equal(out.p_u[1], anchor.p_u[1])
+    assert np.array_equal(out.p_a[1], anchor.p_a[1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,9 @@ def _lp_vertex_oracle(coeff, p_u, e_max, t_total, tau_max):
     n = 3
     rows = [np.eye(n)[i] for i in range(n)]          # tau_i <= tau_max
     rows += [-np.eye(n)[i] for i in range(n)]        # -tau_i <= 0
-    rows += [p_u[l] for l in range(p_u.shape[0])]    # energy rows
+    rows += [p_u[:, l] for l in range(p_u.shape[1])]  # energy rows
     rows += [np.ones(n)]                             # total time
-    rhs = [tau_max] * n + [0.0] * n + [e_max] * p_u.shape[0] + [t_total]
+    rhs = [tau_max] * n + [0.0] * n + [e_max] * p_u.shape[1] + [t_total]
     a = np.array(rows)
     b = np.array(rhs)
 
@@ -267,8 +266,8 @@ def test_duration_lp_matches_vertex_enumeration():
         scenario = small_scenario(n_uavs=2, n_slots=3, rng_seed=seed,
                                   budgets=budgets,
                                   eve_distance_m=float(rng.uniform(40.0, 200.0)))
-        u = rng.uniform(0.1, 1.0, (2, 3))
-        schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (2, 3)) * u)
+        u = rng.uniform(0.1, 1.0, (3, 2))
+        schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (3, 2)) * u)
         aux = _aux_from(schedule, np.ones(3), scenario)
         tau = solve_duration_lp(aux, schedule, scenario)
 
@@ -278,7 +277,7 @@ def test_duration_lp_matches_vertex_enumeration():
                                    budgets.t_total_s, budgets.tau_max_s)
         assert lp_value == pytest.approx(oracle, abs=1e-9)
         assert np.all(tau >= -1e-12) and np.all(tau <= budgets.tau_max_s + 1e-9)
-        assert np.all(schedule.p_u @ tau <= budgets.e_max_j + 1e-9)
+        assert np.all(tau @ schedule.p_u <= budgets.e_max_j + 1e-9)
         assert tau.sum() <= budgets.t_total_s + 1e-9
 
 
@@ -289,7 +288,7 @@ def test_duration_lp_single_slot_formula():
                       t_period_s=210.0)
     scenario = Scenario(env=small_scenario().env, **positions([slot]), bob_antennas=3,
                         eve_antennas=2, noise_w=1e-13, budgets=budgets)
-    schedule = PowerSchedule(np.array([[0.9], [0.6]]), np.array([[0.2], [0.1]]))
+    schedule = PowerSchedule(np.array([[0.9, 0.6]]), np.array([[0.2, 0.1]]))
     aux = _aux_from(schedule, np.ones(1), scenario)
     assert per_slot_secrecy(scenario, schedule, aux)[0] > 0.0
     tau = solve_duration_lp(aux, schedule, scenario)
@@ -305,7 +304,7 @@ def test_duration_lp_nonpositive_rates_give_zero():
     budgets = default_budgets()
     scenario = Scenario(env=small_scenario().env, **positions(slots), bob_antennas=1,
                         eve_antennas=3, noise_w=1e-13, budgets=budgets)
-    schedule = PowerSchedule(np.full((1, 2), 0.5), np.full((1, 2), 0.1))
+    schedule = PowerSchedule(np.full((2, 1), 0.5), np.full((2, 1), 0.1))
     aux = _aux_from(schedule, np.ones(2), scenario)
     assert np.all(per_slot_secrecy(scenario, schedule, aux) < 0.0)
     tau = solve_duration_lp(aux, schedule, scenario)
@@ -328,7 +327,7 @@ def test_duration_lp_vertex_activity():
         tau = solve_duration_lp(aux, schedule, scenario)
         time_active = tau.sum() >= budgets.t_total_s - 1e-9
         cap_active = np.any(tau >= budgets.tau_max_s - 1e-9)
-        energy_active = np.any(schedule.p_u @ tau >= budgets.e_max_j - 1e-9)
+        energy_active = np.any(tau @ schedule.p_u >= budgets.e_max_j - 1e-9)
         assert time_active or cap_active or energy_active
 
 
@@ -342,16 +341,16 @@ def test_aux_blocks_match_direct_fixed_points(scenario_2slot):
     bob_an, eve_total = solve_aux_block_max(schedule, tau, scenario_2slot)
     for n in range(2):
         assert bob_total[n] == solve_fixed_point(
-            schedule.p_u[:, n], scenario_2slot.bob_antennas,
+            schedule.p_u[n], scenario_2slot.bob_antennas,
             scenario_2slot.loss_bob[n], scenario_2slot.noise_w)
         assert eve_an[n] == solve_fixed_point(
-            schedule.p_a[:, n], scenario_2slot.eve_antennas,
+            schedule.p_a[n], scenario_2slot.eve_antennas,
             scenario_2slot.loss_eve[n], scenario_2slot.noise_w)
         assert bob_an[n] == solve_fixed_point(
-            schedule.p_a[:, n], scenario_2slot.bob_antennas,
+            schedule.p_a[n], scenario_2slot.bob_antennas,
             scenario_2slot.loss_bob[n], scenario_2slot.noise_w)
         assert eve_total[n] == solve_fixed_point(
-            schedule.p_u[:, n], scenario_2slot.eve_antennas,
+            schedule.p_u[n], scenario_2slot.eve_antennas,
             scenario_2slot.loss_eve[n], scenario_2slot.noise_w)
 
 
@@ -491,9 +490,12 @@ def test_bcd_objectives_property_and_trace_shape():
     assert trace.objectives == [it.objective for it in trace.iterations]
     assert 1 <= len(trace.iterations) <= 8
     for rec in trace.iterations:
-        assert rec.schedule.shape == (scenario.n_uavs, scenario.n_slots)
+        assert rec.schedule.p_u.shape == (scenario.n_slots, scenario.n_uavs)
         assert rec.tau.shape == (scenario.n_slots,)
         assert not rec.diagnostics["non_monotone"]
+    # a recorded point cannot be changed behind the trace's back
+    with pytest.raises(ValueError):
+        trace.final.schedule.p_u[0, 0] = 0.0
 
 
 def test_solution_trace_monotone_tolerance():

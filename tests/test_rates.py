@@ -1,5 +1,6 @@
 """Rate terms, fixed points, and closed-form vs Monte Carlo throughput."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -257,6 +258,15 @@ def test_mc_input_validation():
         ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, 1, 0, substream(0, "n"))
     with pytest.raises(ValueError):
         ergodic_rate_mc([1.0], [-1.0], [1.0], 1.0, 1, 10, substream(0, "n"))
+    # a sample count is an integer: 2.5 would draw 2 samples and divide by sqrt(2.5)
+    scenario = small_scenario()
+    schedule = feasible_schedule(scenario)
+    for samples in (2.5, True):
+        with pytest.raises(ValueError):
+            ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, 1, samples, substream(0, "n"))
+        with pytest.raises(ValueError):
+            secrecy_throughput_mc(scenario, schedule, np.ones(2), samples,
+                                  substream(0, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +275,7 @@ def test_mc_input_validation():
 def test_throughput_all_noise_is_exactly_zero():
     # p_u == p_a makes every slot's user and eavesdropper terms cancel pairwise
     scenario = small_scenario()
-    shape = (scenario.n_uavs, scenario.n_slots)
+    shape = (scenario.n_slots, scenario.n_uavs)
     schedule = PowerSchedule(np.full(shape, 0.3), np.full(shape, 0.3))
     value, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule,
                                                           np.ones(scenario.n_slots))
@@ -302,9 +312,29 @@ def test_throughput_shape_validation():
     schedule = feasible_schedule(scenario)
     with pytest.raises(ValueError):
         secrecy_throughput_closed_form(scenario, schedule, np.ones(5))
-    bad = PowerSchedule(np.full((2, 2), 0.1), np.full((2, 2), 0.0))
+    # schedules are (N, L) = (2, 3); (3, 2) is the transposed layout
+    for shape in ((2, 2), (3, 2)):
+        bad = PowerSchedule(np.full(shape, 0.1), np.full(shape, 0.0))
+        with pytest.raises(ValueError):
+            secrecy_throughput_closed_form(scenario, bad, np.ones(2))
+
+
+def test_power_schedule_holds_read_only_copies():
+    p_u, p_a = np.full((2, 3), 0.5), np.full((2, 3), 0.1)
+    schedule = PowerSchedule(p_u, p_a)
+    assert p_u.flags.writeable and p_a.flags.writeable
+    p_u[0, 0] = 0.9
+    assert schedule.p_u[0, 0] == 0.5
     with pytest.raises(ValueError):
-        secrecy_throughput_closed_form(scenario, bad, np.ones(2))
+        schedule.p_a[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        schedule.p_u = p_u
+    # one 2-D shape for both arrays, finite values
+    for bad in ((np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones((3, 2))),
+                (np.ones((1, 2, 3)), np.ones((1, 2, 3))),
+                (np.ones((2, 3)), np.full((2, 3), np.nan))):
+        with pytest.raises(ValueError):
+            PowerSchedule(*bad)
 
 
 def test_aux_variables_validation():
