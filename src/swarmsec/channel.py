@@ -123,6 +123,9 @@ def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,
     if n_antennas < 1 or n_tx < 1:
         raise ValueError("matrix dimensions must be positive")
     shape = (n_antennas, n_tx) if samples is None else (int(samples), n_antennas, n_tx)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return math.sqrt(0.5) * (re + 1j * im)
+    h = np.empty(shape, dtype=complex)
+    # the same values as sqrt(0.5) * (re + 1j * im), written straight into one
+    # complex array instead of through three complex temporaries
+    h.real = rng.standard_normal(shape) * math.sqrt(0.5)
+    h.imag = rng.standard_normal(shape) * math.sqrt(0.5)
+    return h

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import (RateEstimate, _check_tau, _logdet2_quadratic, _rate_draws,
+from ..rates import (LOG2E, RateEstimate, _check_tau, _gram, _logdet2_uniform,
                      _weighted_estimate)
 from ..scenario import Scenario, check_count
 
@@ -30,9 +30,10 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     """Monte Carlo throughput of the null-space artificial-noise benchmark.
 
     Per fading draw, signal power ``phi * L * p_max`` is split equally over
-    the user channel's right-singular directions and noise power
-    ``(1 - phi) * L * p_max`` equally over its null space. Negative per-slot
-    secrecy rates are clipped to zero before duration weighting.
+    the user channel's row space (its N_B right-singular directions) and
+    noise power ``(1 - phi) * L * p_max`` equally over its null space.
+    Negative per-slot secrecy rates are clipped to zero before duration
+    weighting.
     """
     tau = _check_tau(scenario, tau)
     samples = check_count("samples", samples, minimum=2)
@@ -46,12 +47,8 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
-    # powers per right-singular direction of the user channel: the signal on
-    # its nb row-space directions, the noise on the rest (its null space)
-    row_space = np.arange(n_uavs) < nb
-    p_sig = np.where(row_space, c_sig, 0.0)
-    p_an = np.where(row_space, 0.0, c_an)
     noise = scenario.noise_w
+    eye = np.eye(ne)
     streams = rng.spawn(scenario.n_slots)
 
     diffs = np.empty(scenario.n_slots)
@@ -61,15 +58,27 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
         h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
 
-        # the user hears no noise, so its rate is that of c_sig * H_b H_b^H;
-        # the eavesdropper's channel, rotated into the user's right-singular
-        # basis (one SVD per draw), sees both powers as diagonal
-        _, _, vh = np.linalg.svd(h_bob, full_matrices=True)
-        r_bob = _logdet2_quadratic(h_bob, np.full(n_uavs, c_sig), noise)
-        h_rot = np.einsum("mel,mrl->mer", h_eve, vh.conj(), optimize=True)
-        r_eve = _rate_draws(h_rot, p_sig, p_an, noise)
+        # the user hears no noise, so its rate is that of c_sig * H_b H_b^H
+        r_bob = _logdet2_uniform(np.linalg.eigvalsh(_gram(h_bob)), c_sig, noise)
+        # the eavesdropper hears the signal through the user's row space and
+        # the noise through its null space: with A = H_e H_b^H (H_b H_b^H)^-1
+        # H_b H_e^H the row-space part of H_e H_e^H, the noise covariance is
+        # c_an (H_e H_e^H - A) and the signal's c_sig A. A is formed from an
+        # orthonormal row-space basis Q (A = H_e Q Q^H H_e^H), not from the
+        # inverse Gram matrix, whose error grows with the square of H_b's
+        # condition number
+        q, _ = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))
+        a = _gram(h_eve @ q)
+        an = eye + (c_an / noise) * (_gram(h_eve) - a)
+        r_eve = _logdet2_cholesky(an + (c_sig / noise) * a) - _logdet2_cholesky(an)
 
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances, samples)
+
+
+def _logdet2_cholesky(k: np.ndarray) -> np.ndarray:
+    """log2 det K per draw for a batch of Hermitian positive definite K: (M, n, n)."""
+    diag = np.diagonal(np.linalg.cholesky(k), axis1=-2, axis2=-1).real
+    return 2.0 * LOG2E * np.sum(np.log(diag), axis=-1)

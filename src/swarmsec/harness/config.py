@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -24,7 +24,8 @@ SWEEPABLE = ("p_max_dbm", "e_max_j", "n_uavs", "environment")
 class ScenarioConfig:
     """Every field is converted to its type and range-checked on construction,
     so YAML, keyword arguments and ``dataclasses.replace`` get the same checks.
-    A config is frozen: ``dataclasses.replace`` derives a changed one."""
+    A config is frozen and hashable: its list fields are stored as tuples, and
+    ``dataclasses.replace`` derives a changed config."""
 
     # propagation
     environment: str = "suburban"
@@ -67,11 +68,11 @@ class ScenarioConfig:
 
     # experiment-specific knobs
     sweep_variable: str = "e_max_j"
-    sweep_values: list = field(default_factory=lambda: [50.0, 100.0, 150.0, 200.0, 250.0, 300.0])
+    sweep_values: tuple = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
     n_topologies: int = 100
     replicates: int = 1
-    validate_p_a_dbm: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0])
-    validate_p_s_dbm: list[float] = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    validate_p_a_dbm: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
+    validate_p_s_dbm: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
     def __post_init__(self):
         for name in _FIELD_TYPES:
@@ -80,7 +81,7 @@ class ScenarioConfig:
             raise ValueError(f"sweep_variable must be one of {SWEEPABLE}, "
                              f"got {self.sweep_variable!r}")
         object.__setattr__(self, "sweep_values",
-                           [_coerce(self.sweep_variable, v) for v in self.sweep_values])
+                           tuple(_coerce(self.sweep_variable, v) for v in self.sweep_values))
         self._check_scalars()
         for v in self.sweep_values:  # each sweep point must load too
             stepped = copy.copy(self)
@@ -169,10 +170,10 @@ def _coerce(name: str, v):
         return None if v is None else _as_float(name, v)
     if kind == "str" and not isinstance(v, str):
         raise ValueError(f"{name} must be a string, got {v!r}")
-    if kind.startswith("list"):
+    if kind.startswith("tuple"):
         if not isinstance(v, (list, tuple)) or not v:
             raise ValueError(f"{name} must be a non-empty list")
-        return [_as_float(name, x) for x in v] if kind == "list[float]" else list(v)
+        return tuple(_as_float(name, x) for x in v) if kind == "tuple[float, ...]" else tuple(v)
     return v
 
 
@@ -190,7 +191,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return dataclasses.asdict(config)
+    """The config as plain YAML data: its tuple fields become lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(config).items()}
 
 
 def load_config(path) -> ScenarioConfig:

@@ -289,11 +289,13 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
     objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
     clipped = float(np.dot(tau, np.maximum(per_slot, 0.0)) / scenario.budgets.t_period_s)
     non_monotone = previous is not None and not _ascends(previous.objective, objective)
+    tau = np.array(tau, dtype=float)
+    tau.flags.writeable = False  # read-only like the schedule it is scored with
     return IterationRecord(
         objective=objective,
         objective_clipped=clipped,
         schedule=schedule,
-        tau=np.array(tau, dtype=float),
+        tau=tau,
         aux=aux,
         diagnostics={
             "max_violation": max_violation,

@@ -33,7 +33,11 @@ TERMS = ("bob_total", "bob_an", "eve_total", "eve_an")
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Monte Carlo estimate: sample mean, standard error, and sample count."""
+    """Monte Carlo estimate: sample mean, standard error, and sample count.
+
+    ``mean`` and ``std_error`` are floats for one power row, and arrays over
+    the leading axes of a stack of rows (see ``ergodic_rate_mc``).
+    """
 
     mean: float
     std_error: float
@@ -189,16 +193,27 @@ def _logdet2_quadratic(h: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray
     return logabs * LOG2E
 
 
-def _rate_draws(h: np.ndarray, p_num: np.ndarray, p_den: np.ndarray,
-                noise: float) -> np.ndarray:
-    """Per-draw rate log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1).
+def _gram(h: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """H G^H per draw for batches of channels (M, ., L); H H^H without ``g``."""
+    return h @ (h if g is None else g).conj().swapaxes(-1, -2)
 
-    ``h`` is a batch of channels (M, Nq, L); the powers are diagonal over its
-    L columns. Evaluated as the difference of two log-dets against the noise
-    floor.
-    """
-    return (_logdet2_quadratic(h, p_num + p_den, noise)
-            - _logdet2_quadratic(h, p_den, noise))
+
+def _logdet2_uniform(lam: np.ndarray, c: float, noise: float) -> np.ndarray:
+    """log2 det(I + c H H^H / noise) per draw, from the eigenvalues ``lam`` of H H^H."""
+    return np.sum(np.log1p(lam * (c / noise)), axis=-1) * LOG2E
+
+
+def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One receiver's (L,) losses and two equal-shape (..., L) power stacks."""
+    losses = np.asarray(losses, dtype=float)
+    p_num, p_den = np.asarray(p_num, dtype=float), np.asarray(p_den, dtype=float)
+    if losses.ndim != 1 or p_num.shape != p_den.shape or p_den.shape[-1:] != losses.shape:
+        raise ValueError("p_num and p_den must be (..., L) stacks of equal shape "
+                         "over the (L,) losses")
+    _check_term_inputs(p_den, np.broadcast_to(losses, p_den.shape), noise)
+    if np.any(p_num < 0.0) or not np.all(np.isfinite(p_num)):
+        raise ValueError("p_num must be nonnegative and finite")
+    return losses, p_num, p_den
 
 
 def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
@@ -206,20 +221,35 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     """Monte Carlo ergodic rate of a receiver treating ``p_den`` power as interference.
 
     Per fading draw the rate is
-    log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1), see ``_rate_draws``.
+    log2 det(I + H P_num H^H (H P_den H^H + noise I)^-1), the log-det of
+    P_num + P_den against the noise floor minus that of P_den. The powers are
+    (..., L) stacks of rows, and every row is evaluated on the same
+    ``samples`` draws of H: one row of shape (L,) gives float estimates, a
+    stack arrays over its leading axes. A log-det whose powers are equal
+    across the L transmitters is read off the eigenvalues of H H^H, computed
+    at most once per call; any other takes ``_logdet2_quadratic``. Each row
+    gives the same bits alone or in any stack.
     """
     samples = check_count("samples", samples)
-    p_num = np.asarray(p_num, dtype=float)
-    p_den, losses = _check_term_inputs(p_den, losses, noise)
-    if (p_den.ndim != 1 or p_num.shape != p_den.shape or np.any(p_num < 0.0)
-            or not np.all(np.isfinite(p_num))):
-        raise ValueError("p_num must be a nonnegative vector matching p_den")
+    losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
+    h = sample_small_scale(rng, n_antennas, losses.size, samples) / np.sqrt(losses)
+    # per row, the powers of its two log-dets (P_num + P_den, then P_den)
+    pairs = np.stack([p_num + p_den, p_den], axis=-2).reshape(-1, 2, losses.size)
+    uniform = np.all(pairs == pairs[..., :1], axis=-1)
+    lam = np.linalg.eigvalsh(_gram(h)) if uniform.any() else None
 
-    s = sample_small_scale(rng, n_antennas, losses.size, samples)
-    vals = _rate_draws(s / np.sqrt(losses), p_num, p_den, noise)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return RateEstimate(mean=mean, std_error=stderr, samples=samples)
+    def logdet2(p, is_uniform):
+        return (_logdet2_uniform(lam, p[0], noise) if is_uniform
+                else _logdet2_quadratic(h, p, noise))
+
+    mean, stderr = [], []
+    for (total, den), (total_uniform, den_uniform) in zip(pairs, uniform):
+        vals = logdet2(total, total_uniform) - logdet2(den, den_uniform)
+        mean.append(vals.mean())
+        stderr.append(vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
+    shape = p_den.shape[:-1]
+    return RateEstimate(mean=_out(np.reshape(mean, shape)),
+                        std_error=_out(np.reshape(stderr, shape)), samples=samples)
 
 
 def _check_tau(scenario: Scenario, tau) -> np.ndarray:
@@ -282,31 +312,43 @@ def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
     return value, aux, per_slot
 
 
-def secrecy_throughput_mc(scenario: Scenario, schedule: PowerSchedule, tau,
-                          samples: int, rng: np.random.Generator) -> RateEstimate:
+def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
+                          rng: np.random.Generator):
     """Monte Carlo average secrecy throughput over independent per-slot fading.
 
     Per slot the scheduled user's ergodic rate (artificial noise as
     interference) minus the eavesdropper's is estimated from ``samples``
-    draws. Standard errors propagate through the weighted sum.
+    draws. Standard errors propagate through the weighted sum. ``schedules``
+    is one ``PowerSchedule``, which gives one estimate, or a sequence of them,
+    which gives a list: each slot's fading is drawn once per receiver and
+    every schedule is evaluated on those draws (common random numbers), with
+    the same bits as that schedule alone.
     """
-    tau = _check_pair(scenario, schedule, tau)
+    single = isinstance(schedules, PowerSchedule)
+    schedules = [schedules] if single else list(schedules)
+    if not schedules:
+        raise ValueError("at least one schedule is needed")
+    for schedule in schedules:
+        tau = _check_pair(scenario, schedule, tau)
+    p_u = np.stack([s.p_u for s in schedules])
+    p_a = np.stack([s.p_a for s in schedules])
+    p_s = np.maximum(p_u - p_a, 0.0)
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     noise = scenario.noise_w
     streams = rng.spawn(2 * scenario.n_slots)
 
-    diffs = np.empty(scenario.n_slots)
-    variances = np.empty(scenario.n_slots)
+    diffs = np.empty((len(schedules), scenario.n_slots))
+    variances = np.empty_like(diffs)
     for i in range(scenario.n_slots):
-        pu, pa = schedule.p_u[i], schedule.p_a[i]
-        ps = np.maximum(pu - pa, 0.0)
-        bob = ergodic_rate_mc(scenario.loss_bob[i], ps, pa, noise, nb,
+        bob = ergodic_rate_mc(scenario.loss_bob[i], p_s[:, i], p_a[:, i], noise, nb,
                               samples, streams[2 * i])
-        eve = ergodic_rate_mc(scenario.loss_eve[i], ps, pa, noise, ne,
+        eve = ergodic_rate_mc(scenario.loss_eve[i], p_s[:, i], p_a[:, i], noise, ne,
                               samples, streams[2 * i + 1])
-        diffs[i] = bob.mean - eve.mean
-        variances[i] = bob.std_error ** 2 + eve.std_error ** 2
-    return _weighted_estimate(scenario, tau, diffs, variances, samples)
+        diffs[:, i] = bob.mean - eve.mean
+        variances[:, i] = bob.std_error ** 2 + eve.std_error ** 2
+    estimates = [_weighted_estimate(scenario, tau, d, v, samples)
+                 for d, v in zip(diffs, variances)]
+    return estimates[0] if single else estimates
 
 
 def _weighted_estimate(scenario: Scenario, tau, diffs, variances,

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmsec.channel import sample_small_scale, substream
+from swarmsec.channel import dbm_to_watts, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
 from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
@@ -23,7 +23,7 @@ from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict
 from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
 from swarmsec.optimizer import audit_feasibility, run_bcd
-from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
+from swarmsec.rates import LOG2E, _logdet2_quadratic, secrecy_throughput_closed_form
 
 
 def tiny_config(**overrides):
@@ -149,6 +149,28 @@ def test_config_cannot_be_changed_after_construction():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, value)
     assert cfg == ScenarioConfig(n_uavs=2, n_slots=1)
+
+
+def test_config_list_fields_are_tuples():
+    # a list field could be appended to behind the checks, and would make the
+    # generated __hash__ raise TypeError
+    cfg = ScenarioConfig(n_uavs=2, n_slots=2, sweep_values=[100.0],
+                         validate_p_a_dbm=[5.0, 10.0])
+    assert cfg.sweep_values == (100.0,) and cfg.validate_p_a_dbm == (5.0, 10.0)
+    for name in ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"):
+        with pytest.raises(AttributeError):
+            getattr(cfg, name).append(-1.0)
+    assert hash(ScenarioConfig()) == hash(ScenarioConfig())
+    assert hash(cfg) == hash(dataclasses.replace(cfg))
+    # the YAML form and the manifest hash still see plain lists
+    data = config_to_dict(ScenarioConfig())
+    assert data["sweep_values"] == [50.0, 100.0, 150.0, 200.0, 250.0, 300.0]
+    assert all(type(data[name]) is list for name in
+               ("sweep_values", "validate_p_a_dbm", "validate_p_s_dbm"))
+    default = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+    canonical = yaml.safe_dump(config_to_dict(default), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "103c1a61c04292570ba4ced02384bfdae5d833eb0a07f2bf7e74dc8650b9f284")
 
 
 def test_config_custom_environment():
@@ -356,6 +378,58 @@ def test_validate_experiment(tmp_path):
     cols = _read_csv(tmp_path / "validate.csv")
     assert cols["tol_ok"] == ["1", "1"]
     assert all(float(v) >= 0.0 for v in cols["r_mc_stderr"])
+
+
+def _per_point_validate(config):
+    """(r_mc, r_mc_stderr) at each ``validate`` grid point, estimated one point
+    at a time: a fresh ``validate-mc`` substream per point, fading drawn as
+    sqrt(1/2) * (re + 1j im), and quadratic-form ``slogdet`` log-dets."""
+    scenario = generate_topology(config, config.seed)
+    n_slots, n_uavs, samples = scenario.n_slots, scenario.n_uavs, config.mc_samples
+    receivers = ((scenario.loss_bob, scenario.bob_antennas),
+                 (scenario.loss_eve, scenario.eve_antennas))
+    tau = np.ones(n_slots)
+    period = scenario.budgets.t_period_s
+    estimates = []
+    for p_a_dbm in config.validate_p_a_dbm:
+        for p_s_dbm in config.validate_p_s_dbm:
+            p_a = np.full(n_uavs, dbm_to_watts(p_a_dbm))
+            p_s = np.maximum(p_a + dbm_to_watts(p_s_dbm) - p_a, 0.0)
+            streams = substream(config.seed, "validate-mc").spawn(2 * n_slots)
+            diffs, variances = [], []
+            for i in range(n_slots):
+                means, errors = [], []
+                for k, (losses, n_antennas) in enumerate(receivers):
+                    stream, shape = streams[2 * i + k], (samples, n_antennas, n_uavs)
+                    s = math.sqrt(0.5) * (stream.standard_normal(shape)
+                                          + 1j * stream.standard_normal(shape))
+                    h = s / np.sqrt(losses[i])
+                    vals = (_logdet2_quadratic(h, p_s + p_a, scenario.noise_w)
+                            - _logdet2_quadratic(h, p_a, scenario.noise_w))
+                    means.append(vals.mean())
+                    errors.append(vals.std(ddof=1) / math.sqrt(samples))
+                diffs.append(means[0] - means[1])
+                variances.append(errors[0] ** 2 + errors[1] ** 2)
+            estimates.append((float(np.dot(tau, diffs) / period),
+                              float(math.sqrt(np.dot(tau ** 2, variances)) / period)))
+    return estimates
+
+
+def test_validate_matches_per_point_oracle(tmp_path):
+    # validate draws each slot's fading once for the whole grid and reads the
+    # uniform-power log-dets off Gram eigenvalues; the same draws redrawn at
+    # every point and scored by slogdet must give the same cells
+    for env in ("suburban", "urban", "dense-urban", "highrise-urban"):
+        cfg = ScenarioConfig(environment=env, n_slots=2, mc_samples=1000, seed=5)
+        result = run_experiment(cfg, "validate", tmp_path / env)
+        oracle = _per_point_validate(cfg)
+        assert len(result.rows) == len(oracle) == 28
+        c = {name: i for i, name in enumerate(result.header)}
+        for row, (mean, stderr) in zip(result.rows, oracle):
+            assert row[c["r_mc"]] == pytest.approx(mean, rel=1e-12)
+            assert row[c["r_mc_stderr"]] == pytest.approx(stderr, rel=1e-8)
+            abs_gap = abs(row[c["r_closed"]] - mean)
+            assert row[c["tol_ok"]] == (abs_gap <= 0.05 * max(mean, 0.01) + 2.0 * stderr)
 
 
 def test_optimize_experiment(tmp_path):

@@ -496,6 +496,10 @@ def test_bcd_objectives_property_and_trace_shape():
     # a recorded point cannot be changed behind the trace's back
     with pytest.raises(ValueError):
         trace.final.schedule.p_u[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        trace.final.tau[0] = 99.0
+    with pytest.raises(ValueError):
+        trace.initial.tau[0] = 99.0
 
 
 def test_solution_trace_monotone_tolerance():

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from swarmsec.channel import substream
+from swarmsec.channel import sample_small_scale, substream
 from swarmsec.errors import NumericalError
 from swarmsec.optimizer import (solve_duration_lp, solve_power_subproblem,
                                 throughput_at_aux)
-from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, ergodic_rate_mc,
-                            fixed_point_residual, per_slot_secrecy, rate_term,
-                            secrecy_throughput_closed_form,
+from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_quadratic,
+                            ergodic_rate_mc, fixed_point_residual, per_slot_secrecy,
+                            rate_term, secrecy_throughput_closed_form,
                             secrecy_throughput_mc, solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
 
@@ -258,6 +258,13 @@ def test_mc_input_validation():
         ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, 1, 0, substream(0, "n"))
     with pytest.raises(ValueError):
         ergodic_rate_mc([1.0], [-1.0], [1.0], 1.0, 1, 10, substream(0, "n"))
+    # power stacks of one shape over one receiver's (L,) losses
+    for losses, p_num, p_den in (([1.0, 2.0], [[1.0, 1.0]], [1.0, 1.0]),
+                                 ([1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+                                 ([[1.0, 2.0]], [1.0, 1.0], [1.0, 1.0]),
+                                 ([1.0, 2.0], [[1.0, 1.0]], [[1.0, -1.0]])):
+        with pytest.raises(ValueError):
+            ergodic_rate_mc(losses, p_num, p_den, 1.0, 1, 10, substream(0, "n"))
     # a sample count is an integer: 2.5 would draw 2 samples and divide by sqrt(2.5)
     scenario = small_scenario()
     schedule = feasible_schedule(scenario)
@@ -267,6 +274,72 @@ def test_mc_input_validation():
         with pytest.raises(ValueError):
             secrecy_throughput_mc(scenario, schedule, np.ones(2), samples,
                                   substream(0, "n"))
+
+
+def _mixed_power_rows(n_tx):
+    """A (2, 4, L) stack of (p_num, p_den) rows: each of the two log-dets of a
+    row has uniform or non-uniform powers, zero powers included."""
+    ramp = 0.125 * np.arange(1, n_tx + 1)  # dyadic: ramp + ramp[::-1] is exactly flat
+    flat = np.full(n_tx, 0.25)
+    zero = np.zeros(n_tx)
+    pairs = [(flat, 0.5 * flat), (ramp, flat), (ramp[::-1], ramp), (ramp, ramp),
+             (zero, flat), (zero, ramp), (flat, zero), (ramp, zero)]
+    p_num, p_den = (np.array(col).reshape(2, 4, n_tx) for col in zip(*pairs))
+    return p_num, p_den
+
+
+def test_mc_batch_equals_rows_alone():
+    # every row of a stack gets the bits it gets alone, whichever log-det
+    # path (Gram eigenvalues or the quadratic form) each of its powers takes
+    for n_antennas, n_tx in ((3, 4), (5, 3), (1, 1)):
+        losses = np.linspace(2.0, 6.0, n_tx) * 1e10
+        p_num, p_den = _mixed_power_rows(n_tx)
+        batch = ergodic_rate_mc(losses, p_num, p_den, 1e-13, n_antennas, 400,
+                                substream(8, "batch"))
+        assert batch.mean.shape == batch.std_error.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            alone = ergodic_rate_mc(losses, p_num[idx], p_den[idx], 1e-13, n_antennas,
+                                    400, substream(8, "batch"))
+            assert isinstance(alone.mean, float) and isinstance(alone.std_error, float)
+            assert batch.mean[idx] == alone.mean
+            assert batch.std_error[idx] == alone.std_error
+
+
+def test_mc_gram_eigenvalues_match_quadratic_log_dets():
+    # a row with equal powers across transmitters is read off the eigenvalues
+    # of H H^H; the quadratic-form log-dets on the same draws are its oracle,
+    # also where H H^H is singular (more antennas than transmitters)
+    for n_antennas, n_tx in ((5, 7), (3, 7), (5, 3)):
+        losses = np.linspace(1.0, 9.0, n_tx) * 1e10
+        for c_num, c_den in ((0.3, 0.05), (1e-3, 1.0), (2.0, 0.0)):
+            est = ergodic_rate_mc(losses, np.full(n_tx, c_num), np.full(n_tx, c_den),
+                                  1e-13, n_antennas, 2000, substream(n_tx, "eig"))
+            h = sample_small_scale(substream(n_tx, "eig"), n_antennas, n_tx, 2000)
+            h = h / np.sqrt(losses)
+            vals = (_logdet2_quadratic(h, np.full(n_tx, c_num + c_den), 1e-13)
+                    - _logdet2_quadratic(h, np.full(n_tx, c_den), 1e-13))
+            assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+            assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(2000),
+                                                  rel=1e-8)
+
+
+def test_throughput_mc_schedule_sequence_equals_each_alone():
+    scenario = small_scenario(n_uavs=3, n_slots=2)
+    rng = np.random.default_rng(4)
+    p_u = rng.uniform(0.2, 1.0, (2, 3))
+    schedules = [feasible_schedule(scenario),
+                 PowerSchedule(p_u, p_u * rng.uniform(0.0, 1.0, (2, 3))),
+                 feasible_schedule(scenario, p_u_frac=0.9, p_a_frac=0.9)]
+    tau = np.array([2.0, 5.0])
+    batch = secrecy_throughput_mc(scenario, schedules, tau, 300, substream(6, "seq"))
+    assert isinstance(batch, list) and len(batch) == 3
+    for schedule, est in zip(schedules, batch):
+        alone = secrecy_throughput_mc(scenario, schedule, tau, 300, substream(6, "seq"))
+        assert isinstance(alone.mean, float)
+        assert est == alone
+    assert batch[2].mean == 0.0  # p_u == p_a: no signal power
+    with pytest.raises(ValueError):
+        secrecy_throughput_mc(scenario, [], tau, 300, substream(6, "seq"))
 
 
 # ---------------------------------------------------------------------------
