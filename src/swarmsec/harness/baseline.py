@@ -75,7 +75,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
-    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances, samples)
+    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
 
 
 def _logdet2_cholesky(k: np.ndarray) -> np.ndarray:

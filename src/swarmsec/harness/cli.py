@@ -32,10 +32,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="YAML config file")
         sp.add_argument("--out-dir", default="results", help="output directory (default: results)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--samples", type=int, default=None,
-                        help="override mc_samples from the config")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for per-topology experiments")
+        if name == "validate":
+            sp.add_argument("--samples", type=int, default=None,
+                            help="override mc_samples from the config")
+        if name in ("baseline", "convergence"):
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="worker processes, one topology each (default: 1)")
         if name == "sweep":
             sp.add_argument("--variable", default=None,
                             help="override sweep_variable from the config")
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.samples is not None:
+        if getattr(args, "samples", None) is not None:
             overrides["mc_samples"] = args.samples
         if getattr(args, "variable", None) is not None:
             overrides["sweep_variable"] = args.variable
@@ -59,7 +61,8 @@ def main(argv=None) -> int:
             overrides["sweep_values"] = [v.strip() for v in args.values.split(",") if v.strip()]
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        result = run_experiment(config, args.experiment, Path(args.out_dir), jobs=args.jobs)
+        result = run_experiment(config, args.experiment, Path(args.out_dir),
+                                jobs=getattr(args, "jobs", 1))
     except (ValueError, OSError, yaml.YAMLError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from ..channel import dbm_to_watts, derive_seed, substream
 from ..errors import InfeasibleStartError
 from ..optimizer import audit_feasibility, run_bcd
 from ..rates import secrecy_throughput_closed_form, secrecy_throughput_mc
-from ..scenario import PowerSchedule, Scenario, uniform_schedule
+from ..scenario import PowerSchedule, Scenario, check_count, uniform_schedule
 from .baseline import baseline_null_space
 from .config import ScenarioConfig, config_to_dict
 from .topology import generate_topology
@@ -217,14 +217,14 @@ def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
     return PowerSchedule(np.pad(prev.p_u, pad), np.pad(prev.p_a, pad))
 
 
-def _run_sweep(config: ScenarioConfig, jobs: int):
+def _run_sweep(config: ScenarioConfig):
     """Re-optimize at each sweep value from a cold start and, when ``run_bcd``
     accepts the carried start, from the previous point's solution, keeping the
     best of the two runs and that start (``hold``). Growing budgets keep the
     previous solution feasible, so the curve is nondecreasing by construction
-    for increasing sweeps over p_max_dbm, e_max_j, or n_uavs. Runs serially.
+    for increasing sweeps over p_max_dbm, e_max_j, or n_uavs. Runs serially,
+    since each point warm-starts from the previous one.
     """
-    del jobs  # warm starts chain the points; parallel execution would break them
     header = ["sweep_variable", "sweep_value", "objective", "objective_clipped",
               "iterations", "converged", "monotone", "max_violation", "start",
               "wall_time_s"]
@@ -294,10 +294,14 @@ def _pmap(fn, tasks, jobs: int):
 
 def run_experiment(config: ScenarioConfig, experiment: str, out_dir,
                    jobs: int = 1) -> ExperimentResult:
-    """Run one named experiment and write its CSV files plus a manifest."""
+    """Run one named experiment and write its CSV files plus a manifest.
+
+    ``jobs`` (an integer of at least 1) is the worker-process count of
+    ``baseline`` and ``convergence``; the other experiments run serially."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; "
                          f"choose one of {', '.join(EXPERIMENTS)}")
+    jobs = check_count("jobs", jobs)
     start = time.perf_counter()
     if experiment == "validate":
         header, rows, extra = _run_validate(config)
@@ -306,7 +310,7 @@ def run_experiment(config: ScenarioConfig, experiment: str, out_dir,
     elif experiment == "baseline":
         header, rows, extra = _run_baseline(config, jobs)
     elif experiment == "sweep":
-        header, rows, extra = _run_sweep(config, jobs)
+        header, rows, extra = _run_sweep(config)
     else:
         header, rows, extra = _run_convergence(config, jobs)
     wall = time.perf_counter() - start

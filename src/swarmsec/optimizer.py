@@ -5,8 +5,10 @@ Each outer iteration cycles four blocks: the two auxiliary-variable blocks
 closed-form evaluation that scored it), the transmit-power block (a concave
 surrogate obtained by linearizing the two rate terms that enter the objective
 through their difference), and the slot-duration block (a plain LP). The
-power block decomposes per UAV and is solved to KKT stationarity by bisection
-on the energy-budget multiplier with closed-form per-slot solutions.
+power block decomposes per UAV and is solved to KKT stationarity with
+closed-form per-slot solutions: a UAV over its energy budget bisects its
+multiplier from a closed-form bracket until the bracket's ends are adjacent
+floats.
 """
 
 from __future__ import annotations
@@ -108,36 +110,29 @@ def _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max):
 
 
 def _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max):
-    """Energy-constrained surrogate maximization, one independent column per UAV."""
-    n_uavs = beta_b.shape[1]
+    """Energy-constrained surrogate maximization, one independent column per UAV.
 
-    def used(lam):
-        u, _ = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
-        return tau @ u
-
-    lam = np.zeros(n_uavs)
-    need = used(lam) > e_max
-    if np.any(need):
-        hi = np.ones(n_uavs)
-        for _ in range(200):
-            over = need & (used(hi) > e_max)
-            if not over.any():
-                break
-            hi[over] *= 2.0
-        else:
-            raise NumericalError("failed to bracket the energy multiplier",
-                                 {"hi": float(hi.max())})
-        lo = np.zeros(n_uavs)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            over = used(np.where(need, mid, 0.0)) > e_max
-            lo = np.where(need & over, mid, lo)
-            hi = np.where(need & ~over, mid, hi)
-        # the hi side is certified feasible throughout the bisection
-        lam = np.where(need, hi, 0.0)
-
+    A UAV over its budget at zero multiplier bisects the multiplier on
+    [0, LOG2E * max_n(beta_b + beta_e)], where every slot's u is 0 (u_hat < 0,
+    and the coupled quadratic has c0 >= 0), until the bracket's ends are
+    adjacent floats, and takes the feasible end.
+    """
+    lam = np.zeros(beta_b.shape[1])
     u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
-    return u, a, lam
+    over = tau @ u > e_max
+    if not over.any():
+        return u, a, lam
+
+    # a UAV within budget has the closed bracket [0, 0]
+    lo, hi = lam, np.where(over, LOG2E * (beta_b + beta_e).max(axis=0), 0.0)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        over = tau @ _slot_powers(beta_b, beta_e, gamma_b, gamma_e, mid, p_max)[0] > e_max
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+        mid = 0.5 * (lo + hi)
+    u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, hi, p_max)
+    return u, a, hi
 
 
 def _power_kkt_residual(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max,
@@ -164,8 +159,10 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
 
     The surrogate keeps the scheduled user's total-power term and the
     eavesdropper's noise term exact (concave) and linearizes the other two at
-    ``schedule_prev``. The problem separates across UAVs; each one is solved
-    by bisection on its energy multiplier with closed-form slot solutions.
+    ``schedule_prev``. The problem separates across UAVs, with closed-form
+    slot solutions at a given energy multiplier. A UAV within its energy
+    budget at zero multiplier keeps it; any other bisects its multiplier from
+    a closed-form bracket until the bracket's ends are adjacent floats.
     Slots with zero duration keep their previous powers verbatim. Raises
     NumericalError if the KKT residual audit exceeds ``POWER_KKT_TOL``.
     """
@@ -306,24 +303,25 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
     )
 
 
-def _power_sca_step(aux, tau, schedule: PowerSchedule,
+def _power_sca_step(prev: IterationRecord,
                     scenario: Scenario) -> tuple[PowerSchedule, int]:
-    """Successive convex approximation on the power block at fixed aux values.
+    """Successive convex approximation on the power block at ``prev``'s aux values.
 
     Repeatedly maximizes the linearized surrogate, re-anchoring at each new
     schedule, until the fixed-aux objective stalls. Every re-anchored solve
     can only increase that objective (tangency plus global upper bound), so
     this converges the difference-of-concave power problem instead of taking
     a single tangent step, which would crawl when the noise powers sit in the
-    steep region of the eavesdropper's rate.
+    steep region of the eavesdropper's rate. The first value compared is
+    ``prev.objective``: at its own fixed points the fixed-aux objective is
+    the closed form that scored the record.
     """
-    value = throughput_at_aux(scenario, schedule, tau, aux)
+    schedule, value = prev.schedule, prev.objective
     inner = 0
     for inner in range(1, SCA_MAX_INNER + 1):
-        schedule = solve_power_subproblem(aux, tau, schedule, scenario)
-        new_value = throughput_at_aux(scenario, schedule, tau, aux)
+        schedule = solve_power_subproblem(prev.aux, prev.tau, schedule, scenario)
+        new_value = throughput_at_aux(scenario, schedule, prev.tau, prev.aux)
         if new_value - value <= SCA_INNER_TOL * (1.0 + abs(value)):
-            value = new_value
             break
         value = new_value
     return schedule, inner
@@ -351,7 +349,7 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
     iterations: list[IterationRecord] = []
     converged = False
     for _ in range(max_iter):
-        schedule, inner_iters = _power_sca_step(prev.aux, prev.tau, prev.schedule, scenario)
+        schedule, inner_iters = _power_sca_step(prev, scenario)
         tau = solve_duration_lp(prev.aux, schedule, scenario)
         rec = _evaluate(scenario, schedule, tau, prev, inner_iters)
         iterations.append(rec)

@@ -33,7 +33,7 @@ TERMS = ("bob_total", "bob_an", "eve_total", "eve_an")
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Monte Carlo estimate: sample mean, standard error, and sample count.
+    """Monte Carlo estimate: sample mean and standard error.
 
     ``mean`` and ``std_error`` are floats for one power row, and arrays over
     the leading axes of a stack of rows (see ``ergodic_rate_mc``).
@@ -41,7 +41,6 @@ class RateEstimate:
 
     mean: float
     std_error: float
-    samples: int
 
 
 def _check_term_inputs(p, losses, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +248,7 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
         stderr.append(vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
     shape = p_den.shape[:-1]
     return RateEstimate(mean=_out(np.reshape(mean, shape)),
-                        std_error=_out(np.reshape(stderr, shape)), samples=samples)
+                        std_error=_out(np.reshape(stderr, shape)))
 
 
 def _check_tau(scenario: Scenario, tau) -> np.ndarray:
@@ -346,16 +345,14 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
                               samples, streams[2 * i + 1])
         diffs[:, i] = bob.mean - eve.mean
         variances[:, i] = bob.std_error ** 2 + eve.std_error ** 2
-    estimates = [_weighted_estimate(scenario, tau, d, v, samples)
+    estimates = [_weighted_estimate(scenario, tau, d, v)
                  for d, v in zip(diffs, variances)]
     return estimates[0] if single else estimates
 
 
-def _weighted_estimate(scenario: Scenario, tau, diffs, variances,
-                      samples: int) -> RateEstimate:
+def _weighted_estimate(scenario: Scenario, tau, diffs, variances) -> RateEstimate:
     """Per-slot estimates averaged over the period, weighted by the slot durations;
     the per-slot variances propagate to the standard error."""
     period = scenario.budgets.t_period_s
     return RateEstimate(mean=float(np.dot(tau, diffs) / period),
-                        std_error=float(math.sqrt(np.dot(tau ** 2, variances)) / period),
-                        samples=samples)
+                        std_error=float(math.sqrt(np.dot(tau ** 2, variances)) / period))

@@ -549,6 +549,13 @@ def test_run_experiment_rejects_unknown_name(tmp_path):
         run_experiment(tiny_config(), "frobnicate", tmp_path)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
+def test_run_experiment_rejects_a_bad_jobs_count(tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs must be an integer"):
+        run_experiment(tiny_config(), "convergence", tmp_path / "out", jobs=jobs)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -654,6 +661,34 @@ def test_cli_unknown_experiment_exits_with_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", str(_write_tiny_yaml(tmp_path))])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("experiment, flag", [
+    ("baseline", "--samples"), ("optimize", "--samples"), ("sweep", "--samples"),
+    ("convergence", "--samples"), ("validate", "--jobs"), ("optimize", "--jobs"),
+    ("sweep", "--jobs")])
+def test_cli_offers_a_flag_only_where_it_is_read(tmp_path, experiment, flag):
+    # --samples overrides mc_samples, which only validate reads; --jobs
+    # parallelizes only the per-topology baseline and convergence
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--config", str(_write_tiny_yaml(tmp_path)), flag, "5"])
+    assert exc.value.code == 2
+
+
+def test_cli_validate_samples_override(tmp_path):
+    out_dir = tmp_path / "results"
+    assert main(["validate", "--config", str(_write_tiny_yaml(tmp_path)),
+                 "--out-dir", str(out_dir), "--samples", "50"]) == 0
+    manifest = json.loads((out_dir / "validate_manifest.json").read_text())
+    assert manifest["config"]["mc_samples"] == 50
+
+
+def test_cli_jobs_below_one_exits_1(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    assert main(["convergence", "--config", str(_write_tiny_yaml(tmp_path)),
+                 "--out-dir", str(out_dir), "--jobs", "0"]) == 1
+    _assert_one_error_line(capsys)
+    assert not out_dir.exists()
 
 
 def test_cli_optimize_runs(tmp_path, capsys):

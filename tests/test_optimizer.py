@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from swarmsec.optimizer import (IterationRecord, SolutionTrace,
-                                audit_feasibility, run_bcd, solve_aux_block_max,
-                                solve_aux_block_min, solve_duration_lp,
-                                solve_power_subproblem, throughput_at_aux)
-from swarmsec.rates import (LOG2E, per_slot_secrecy, rate_term,
-                            rate_term_gradient, secrecy_throughput_closed_form,
-                            solve_fixed_point)
+from swarmsec.errors import NumericalError
+from swarmsec.optimizer import (IterationRecord, SolutionTrace, _power_rows,
+                                _slot_powers, audit_feasibility, run_bcd,
+                                solve_aux_block_max, solve_aux_block_min,
+                                solve_duration_lp, solve_power_subproblem,
+                                throughput_at_aux)
+from swarmsec.rates import (LOG2E, _lane_stack, _log_slope, _snr_coefficient,
+                            per_slot_secrecy, rate_term, rate_term_gradient,
+                            secrecy_throughput_closed_form, solve_fixed_point)
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 from conftest import (default_budgets, feasible_schedule, make_slot, positions,
@@ -220,6 +222,82 @@ def test_power_matches_grid_oracle_single_uav():
         solver_point = np.array([out.p_u[0, 0], out.p_a[0, 0],
                                  out.p_u[1, 0], out.p_a[1, 0]])
         assert np.max(np.abs(solver_point - grid_point)) <= step + 1e-9
+
+
+def _power_rows_doubling(beta_b, beta_e, gamma_b, gamma_e, tau, p_max, e_max):
+    """Reference energy-multiplier search: a doubling bracket, then 120 fixed
+    bisection steps, each over-budget UAV masked in explicitly."""
+    n_uavs = beta_b.shape[1]
+
+    def used(lam):
+        u, _ = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
+        return tau @ u
+
+    lam = np.zeros(n_uavs)
+    need = used(lam) > e_max
+    if np.any(need):
+        hi = np.ones(n_uavs)
+        for _ in range(200):
+            over = need & (used(hi) > e_max)
+            if not over.any():
+                break
+            hi[over] *= 2.0
+        else:
+            raise NumericalError("failed to bracket the energy multiplier",
+                                 {"hi": float(hi.max())})
+        lo = np.zeros(n_uavs)
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            over = used(np.where(need, mid, 0.0)) > e_max
+            lo = np.where(need & over, mid, lo)
+            hi = np.where(need & ~over, mid, hi)
+        lam = np.where(need, hi, 0.0)
+
+    u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, p_max)
+    return u, a, lam
+
+
+def _power_grids(seed):
+    """The power block's (beta_b, beta_e, gamma_b, gamma_e) grids and a
+    duration vector with an idle slot, on a seeded 4-slot, 3-UAV instance."""
+    rng = np.random.default_rng(seed)
+    scenario = small_scenario(n_uavs=3, n_slots=4, rng_seed=seed,
+                              eve_distance_m=float(rng.uniform(40.0, 200.0)))
+    u = rng.uniform(0.05, 1.0, (4, 3))
+    anchor = PowerSchedule(u, rng.uniform(0.0, 1.0, (4, 3)) * u)
+    tau = rng.uniform(0.5, 6.0, 4)
+    tau[int(rng.integers(4))] = 0.0
+    aux = _aux_from(anchor, tau, scenario)
+    p, n, q = _lane_stack(scenario, anchor)
+    coef = _snr_coefficient(n, q, aux, scenario.noise_w)
+    slope = _log_slope(coef, p)
+    return coef[0], coef[3], slope[1], slope[2], tau
+
+
+def test_power_rows_match_doubling_search_bit_for_bit():
+    # each UAV's energy at zero multiplier sets budgets under which none, all
+    # or some of the three UAVs bind
+    for seed in range(12):
+        beta_b, beta_e, gamma_b, gamma_e, tau = _power_grids(seed)
+        free = tau @ _slot_powers(beta_b, beta_e, gamma_b, gamma_e, 0.0, 1.0)[0]
+        for e_max, binding in ((1.5 * free.max(), {0}), (0.5 * free.min(), {3}),
+                               (0.5 * (free.min() + free.max()), {1, 2})):
+            got = _power_rows(beta_b, beta_e, gamma_b, gamma_e, tau, 1.0, e_max)
+            want = _power_rows_doubling(beta_b, beta_e, gamma_b, gamma_e, tau, 1.0, e_max)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (seed, e_max)
+            assert int(np.count_nonzero(got[2])) in binding
+
+
+def test_power_multiplier_bound_zeroes_every_slot():
+    # the bisection's upper end: at LOG2E * max_n(beta_b + beta_e) no slot
+    # transmits, so the bracket starts with a feasible end
+    for seed in range(12):
+        beta_b, beta_e, gamma_b, gamma_e, _ = _power_grids(seed)
+        bound = LOG2E * (beta_b + beta_e).max(axis=0)
+        for p_max in (0.1, 1.0, 100.0):
+            u, a = _slot_powers(beta_b, beta_e, gamma_b, gamma_e, bound, p_max)
+            assert np.all(u == 0.0) and np.all(a == 0.0)
 
 
 def test_power_idle_slot_keeps_previous_values():
@@ -468,6 +546,30 @@ def test_bcd_monotone_feasible_and_consistent():
     clip = float(np.dot(final.tau, np.maximum(per_slot, 0.0)) / 210.0)
     assert clip == final.objective_clipped
     assert final.objective_clipped >= final.objective
+
+
+def test_sca_step_starts_from_the_recorded_objective(monkeypatch):
+    # the power step compares its first solve against prev.objective; at a
+    # record's own fixed points the fixed-aux objective is that same number
+    from swarmsec import optimizer
+
+    binding = []
+
+    def recording(*args):
+        u, a, lam = _power_rows(*args)
+        binding.append(bool(np.any(lam > 0.0)))
+        return u, a, lam
+
+    monkeypatch.setattr(optimizer, "_power_rows", recording)
+    for bob_antennas, eve_antennas in ((3, 2), (4, 1)):
+        scenario = small_scenario(n_uavs=4, bob_antennas=bob_antennas,
+                                  eve_antennas=eve_antennas, rng_seed=2,
+                                  budgets=default_budgets(e_max_j=1.0, t_total_s=12.0))
+        schedule = feasible_schedule(scenario, p_u_frac=0.2, p_a_frac=0.05)
+        trace = run_bcd(scenario, schedule, np.ones(scenario.n_slots), max_iter=30)
+        for rec in [trace.initial] + trace.iterations:
+            assert throughput_at_aux(scenario, rec.schedule, rec.tau, rec.aux) == rec.objective
+    assert any(binding)  # the energy budget binds
 
 
 def test_bcd_flags_dip_instead_of_failing():
