@@ -13,56 +13,41 @@ from ..errors import NumericalError
 from .config import load_config
 from .experiments import EXPERIMENTS, run_experiment
 
-_HELP = {
-    "validate": "compare the closed-form throughput against Monte Carlo",
-    "optimize": "run the block-coordinate optimizer on one topology",
-    "baseline": "compare the optimizer against the null-space benchmark",
-    "sweep": "re-optimize while stepping one config variable",
-    "convergence": "iteration statistics over many random topologies",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each override flag's ``dest`` is the config key it sets,
+    and a flag not given leaves no attribute."""
     parser = argparse.ArgumentParser(
         prog="swarmsec",
         description="Secrecy-throughput experiments for cooperative UAV downlinks.")
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, help_text in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", required=True, help="YAML config file")
         sp.add_argument("--out-dir", default="results", help="output directory (default: results)")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", type=int, help="override the config seed")
         if name == "validate":
-            sp.add_argument("--samples", type=int, default=None,
+            sp.add_argument("--samples", dest="mc_samples", type=int,
                             help="override mc_samples from the config")
         if name in ("baseline", "convergence"):
             sp.add_argument("--jobs", type=int, default=1,
                             help="worker processes, one topology each (default: 1)")
         if name == "sweep":
-            sp.add_argument("--variable", default=None,
+            sp.add_argument("--variable", dest="sweep_variable",
                             help="override sweep_variable from the config")
-            sp.add_argument("--values", default=None,
+            sp.add_argument("--values", dest="sweep_values",
+                            type=lambda s: [v.strip() for v in s.split(",") if v.strip()],
                             help="comma-separated override of sweep_values")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    experiment, out_dir = flags.pop("experiment"), Path(flags.pop("out_dir"))
+    config_path, jobs = flags.pop("config"), flags.pop("jobs", 1)
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if getattr(args, "samples", None) is not None:
-            overrides["mc_samples"] = args.samples
-        if getattr(args, "variable", None) is not None:
-            overrides["sweep_variable"] = args.variable
-        if getattr(args, "values", None) is not None:
-            overrides["sweep_values"] = [v.strip() for v in args.values.split(",") if v.strip()]
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        result = run_experiment(config, args.experiment, Path(args.out_dir),
-                                jobs=getattr(args, "jobs", 1))
+        config = dataclasses.replace(load_config(config_path), **flags)
+        result = run_experiment(config, experiment, out_dir, jobs=jobs)
     except (ValueError, OSError, yaml.YAMLError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

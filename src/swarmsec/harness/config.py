@@ -94,9 +94,11 @@ class ScenarioConfig:
                                              or self.eta_nlos_db is None):
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
         for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas", "mc_samples",
-                     "baseline_samples", "bcd_max_iter", "n_topologies", "replicates"):
+                     "bcd_max_iter", "n_topologies", "replicates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.baseline_samples < 2:  # its standard error needs two draws
+            raise ValueError("baseline_samples must be an integer of at least 2")
         if self.eve_grid_points < 8:
             raise ValueError("eve_grid_points must be at least 8")
         if not self.bcd_epsilon > 0:
@@ -110,6 +112,13 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.hover_radius_m >= 0:
             raise ValueError("hover_radius_m must be nonnegative")
+        for name in _FIELD_TYPES:
+            if name.endswith("_dbm"):  # every power in dBm must convert to watts
+                value = getattr(self, name)
+                for dbm in value if isinstance(value, tuple) else (value,):
+                    dbm_to_watts(dbm)
+        if not self.noise_w() > 0.0:
+            raise ValueError(f"noise_dbm {self.noise_dbm} gives no positive noise power")
         self.budgets()
         self.environment_params()
 

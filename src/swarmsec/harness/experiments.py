@@ -1,16 +1,9 @@
 """Experiment drivers with deterministic CSV output and run manifests.
 
-Five experiments are available:
-
-- ``validate``: closed-form throughput against Monte Carlo over a power grid.
-- ``optimize``: one block-coordinate run; emits the trace and the solution.
-- ``baseline``: optimized scheme vs the null-space benchmark, paired topologies.
-- ``sweep``: re-optimize while one config variable steps through given values.
-- ``convergence``: iteration counts and monotonicity over many topologies.
-
-Every numeric cell is written with repr-faithful formatting so a rerun with
-the same config and seed reproduces the files byte for byte; wall-time
-columns are the documented exception.
+Each driver returns its CSV tables as an ordered ``{file name: (header,
+rows)}`` dict, primary table first. Every numeric cell is written with
+repr-faithful formatting so a rerun with the same config and seed reproduces
+the files byte for byte; wall-time columns are the documented exception.
 """
 
 from __future__ import annotations
@@ -38,7 +31,14 @@ from .baseline import baseline_null_space
 from .config import ScenarioConfig, config_to_dict
 from .topology import generate_topology
 
-EXPERIMENTS = ("validate", "optimize", "baseline", "sweep", "convergence")
+#: each experiment's name and its one-line help
+EXPERIMENTS = {
+    "validate": "compare the closed-form throughput against Monte Carlo",
+    "optimize": "run the block-coordinate optimizer on one topology",
+    "baseline": "compare the optimizer against the null-space benchmark",
+    "sweep": "re-optimize while stepping one config variable",
+    "convergence": "iteration statistics over many random topologies",
+}
 CSV_SCHEMA_VERSION = 1
 
 
@@ -159,7 +159,7 @@ def _run_validate(config: ScenarioConfig):
         tol_ok = abs_gap <= 0.05 * max(mc.mean, 0.01) + 2.0 * mc.std_error
         rows.append([config.environment, p_a_dbm, p_s_dbm,
                      r_closed, mc.mean, mc.std_error, abs_gap, rel_gap, tol_ok, wall])
-    return header, rows, []
+    return {"validate.csv": (header, rows)}
 
 
 def _run_optimize(config: ScenarioConfig):
@@ -177,8 +177,8 @@ def _run_optimize(config: ScenarioConfig):
         for l in range(scenario.n_uavs):
             solution_rows.append([n, l, final.schedule.p_u[n, l],
                                   final.schedule.p_a[n, l], final.tau[n]])
-    extra = [("optimize_solution.csv", solution_header, solution_rows)]
-    return header, rows, extra
+    return {"optimize_trace.csv": (header, rows),
+            "optimize_solution.csv": (solution_header, solution_rows)}
 
 
 def _baseline_one(args):
@@ -202,8 +202,7 @@ def _run_baseline(config: ScenarioConfig, jobs: int):
               "baseline_samples", "bcd_iterations", "bcd_converged",
               "wall_time_s"]
     tasks = [(config, k) for k in range(config.replicates)]
-    rows = _pmap(_baseline_one, tasks, jobs)
-    return header, rows, []
+    return {"baseline.csv": (header, _pmap(_baseline_one, tasks, jobs))}
 
 
 def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
@@ -234,13 +233,8 @@ def _run_sweep(config: ScenarioConfig):
     for value in config.sweep_values:
         start_time = time.perf_counter()
         stepped = dataclasses.replace(config, **{variable: value})
-        scenario = generate_topology(stepped, config.seed)
-
-        candidates = []  # (label, record, trace; None for the held point)
-        cold_schedule, cold_tau = initial_point(scenario, stepped)
-        cold = run_bcd(scenario, cold_schedule, cold_tau, epsilon=stepped.bcd_epsilon,
-                       max_iter=stepped.bcd_max_iter)
-        candidates.append(("cold", cold.final, cold))
+        scenario, cold = _optimize_once(stepped, config.seed)
+        candidates = [("cold", cold.final, cold)]  # (label, record, trace; None for the held point)
 
         if kept is not None:
             try:
@@ -259,7 +253,7 @@ def _run_sweep(config: ScenarioConfig):
                      trace.is_monotone() if trace else True,
                      kept.diagnostics["max_violation"],
                      label, time.perf_counter() - start_time])
-    return header, rows, []
+    return {"sweep.csv": (header, rows)}
 
 
 def _convergence_one(args):
@@ -278,8 +272,7 @@ def _run_convergence(config: ScenarioConfig, jobs: int):
               "initial_objective", "final_objective", "max_violation",
               "wall_time_s"]
     tasks = [(config, k) for k in range(config.n_topologies)]
-    rows = _pmap(_convergence_one, tasks, jobs)
-    return header, rows, []
+    return {"convergence.csv": (header, _pmap(_convergence_one, tasks, jobs))}
 
 
 def _pmap(fn, tasks, jobs: int):
@@ -296,6 +289,7 @@ def run_experiment(config: ScenarioConfig, experiment: str, out_dir,
                    jobs: int = 1) -> ExperimentResult:
     """Run one named experiment and write its CSV files plus a manifest.
 
+    The result's ``header`` and ``rows`` are those of the primary table.
     ``jobs`` (an integer of at least 1) is the worker-process count of
     ``baseline`` and ``convergence``; the other experiments run serially."""
     if experiment not in EXPERIMENTS:
@@ -304,29 +298,24 @@ def run_experiment(config: ScenarioConfig, experiment: str, out_dir,
     jobs = check_count("jobs", jobs)
     start = time.perf_counter()
     if experiment == "validate":
-        header, rows, extra = _run_validate(config)
+        tables = _run_validate(config)
     elif experiment == "optimize":
-        header, rows, extra = _run_optimize(config)
+        tables = _run_optimize(config)
     elif experiment == "baseline":
-        header, rows, extra = _run_baseline(config, jobs)
+        tables = _run_baseline(config, jobs)
     elif experiment == "sweep":
-        header, rows, extra = _run_sweep(config)
+        tables = _run_sweep(config)
     else:
-        header, rows, extra = _run_convergence(config, jobs)
+        tables = _run_convergence(config, jobs)
     wall = time.perf_counter() - start
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    primary_name = "optimize_trace.csv" if experiment == "optimize" else f"{experiment}.csv"
-    files = []
-    primary = out_dir / primary_name
-    _write_csv(primary, header, rows)
-    files.append(primary)
-    for name, extra_header, extra_rows in extra:
-        path = out_dir / name
-        _write_csv(path, extra_header, extra_rows)
-        files.append(path)
+    files = [out_dir / name for name in tables]
+    for path, table in zip(files, tables.values()):
+        _write_csv(path, *table)
     files.append(_write_manifest(out_dir, experiment, config, files, wall))
 
+    header, rows = next(iter(tables.values()))
     return ExperimentResult(experiment=experiment, header=header, rows=rows,
                             files=files, wall_time_s=wall)

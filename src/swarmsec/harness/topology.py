@@ -12,8 +12,8 @@ from ..scenario import Scenario
 from .config import ScenarioConfig
 
 
-def generate_topology(config: ScenarioConfig, seed: int | None = None) -> Scenario:
-    """Draw one scenario from the config's distribution.
+def generate_topology(config: ScenarioConfig, seed: int) -> Scenario:
+    """Draw one scenario from the config's distribution with the given seed.
 
     Users are uniform over the cell; each slot's swarm members are uniform in
     a vertical cylinder above the scheduled user (disc of the hover radius,
@@ -22,8 +22,6 @@ def generate_topology(config: ScenarioConfig, seed: int | None = None) -> Scenar
     its own substream, so increasing ``n_uavs`` extends swarms without
     re-randomizing existing members.
     """
-    if seed is None:
-        seed = config.seed
     env = config.environment_params()
 
     users = substream(seed, "users").uniform(0.0, config.cell_size_m,

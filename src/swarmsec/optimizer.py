@@ -279,8 +279,7 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
               previous: IterationRecord | None = None,
               power_inner_iters: int = 0) -> IterationRecord:
     """Audit, score and record one point; ``previous`` is the point it improves on."""
-    violations = audit_feasibility(scenario, schedule, tau)
-    max_violation = max(violations.values())
+    max_violation = max(audit_feasibility(scenario, schedule, tau).values())
     if previous is None and max_violation > FEASIBILITY_TOL:
         raise InfeasibleStartError(f"initial point infeasible by {max_violation:.3e}")
     objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
@@ -296,7 +295,6 @@ def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
         aux=aux,
         diagnostics={
             "max_violation": max_violation,
-            "violations": violations,
             "non_monotone": non_monotone,
             "power_inner_iters": power_inner_iters,
         },

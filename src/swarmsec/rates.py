@@ -306,7 +306,7 @@ def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
     tau = _check_pair(scenario, schedule, tau)
     p, n, q = _lane_stack(scenario, schedule)
     aux = solve_fixed_point(p, n, q, scenario.noise_w)
-    per_slot = _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
+    per_slot = per_slot_secrecy(scenario, schedule, aux)
     value = float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
     return value, aux, per_slot
 

@@ -97,6 +97,14 @@ BAD_CONFIG_VALUES = [
     {"eve_grid_points": 4},
     {"bcd_epsilon": float("nan")},
     {"bcd_epsilon": -1},
+    # every power in dBm converts to watts at load, not mid-run
+    {"noise_dbm": 4000},
+    {"noise_dbm": -4000},  # underflows to 0 W
+    {"init_p_u_dbm": 4000},
+    {"init_p_a_dbm": 4000},
+    {"validate_p_a_dbm": [10.0, 4000]},
+    {"validate_p_s_dbm": [4000]},
+    {"baseline_samples": 1},  # fails only after replicate 0 is optimized
 ]
 
 
@@ -544,6 +552,25 @@ def test_manifest_contents(tmp_path):
     assert [f.name for f in result.files[:-1]] == manifest["files"]
 
 
+#: each experiment's CSV tables in the order it writes them, primary first
+TABLES = {"validate": ["validate.csv"],
+          "optimize": ["optimize_trace.csv", "optimize_solution.csv"],
+          "baseline": ["baseline.csv"],
+          "sweep": ["sweep.csv"],
+          "convergence": ["convergence.csv"]}
+
+
+@pytest.mark.parametrize("experiment", TABLES)
+def test_run_experiment_writes_its_tables_then_the_manifest(tmp_path, experiment):
+    # the primary table gives the result its header and rows
+    result = run_experiment(tiny_config(), experiment, tmp_path)
+    assert [f.name for f in result.files] == TABLES[experiment] + [f"{experiment}_manifest.json"]
+    with open(result.files[0], newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == result.header
+    assert len(written) == 1 + len(result.rows)
+
+
 def test_run_experiment_rejects_unknown_name(tmp_path):
     with pytest.raises(ValueError):
         run_experiment(tiny_config(), "frobnicate", tmp_path)
@@ -675,12 +702,19 @@ def test_cli_offers_a_flag_only_where_it_is_read(tmp_path, experiment, flag):
     assert exc.value.code == 2
 
 
-def test_cli_validate_samples_override(tmp_path):
+@pytest.mark.parametrize("experiment, flags, keys", [
+    pytest.param("optimize", [], {}, id="none"),
+    pytest.param("optimize", ["--seed", "7"], {"seed": 7}, id="seed"),
+    pytest.param("validate", ["--samples", "50"], {"mc_samples": 50}, id="samples"),
+    pytest.param("sweep", ["--variable", "p_max_dbm", "--values", "20, 25"],
+                 {"sweep_variable": "p_max_dbm", "sweep_values": [20.0, 25.0]}, id="sweep")])
+def test_cli_flags_set_their_config_keys(tmp_path, experiment, flags, keys):
+    # the run's config is the file's with each given flag under its key
+    path = _write_tiny_yaml(tmp_path)
     out_dir = tmp_path / "results"
-    assert main(["validate", "--config", str(_write_tiny_yaml(tmp_path)),
-                 "--out-dir", str(out_dir), "--samples", "50"]) == 0
-    manifest = json.loads((out_dir / "validate_manifest.json").read_text())
-    assert manifest["config"]["mc_samples"] == 50
+    assert main([experiment, "--config", str(path), "--out-dir", str(out_dir)] + flags) == 0
+    manifest = json.loads((out_dir / f"{experiment}_manifest.json").read_text())
+    assert manifest["config"] == {**config_to_dict(load_config(path)), **keys}
 
 
 def test_cli_jobs_below_one_exits_1(tmp_path, capsys):
