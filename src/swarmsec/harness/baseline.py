@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import (LOG2E, RateEstimate, _check_tau, _gram, _logdet2_uniform,
-                     _weighted_estimate)
+from ..rates import LOG2E, RateEstimate, _check_tau, _gram, _weighted_estimate
 from ..scenario import Scenario, check_count
 
 
@@ -48,7 +47,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
     noise = scenario.noise_w
-    eye = np.eye(ne)
+    eye_b, eye_e = np.eye(nb), np.eye(ne)
     streams = rng.spawn(scenario.n_slots)
 
     diffs = np.empty(scenario.n_slots)
@@ -58,18 +57,19 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
         h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
 
-        # the user hears no noise, so its rate is that of c_sig * H_b H_b^H
-        r_bob = _logdet2_uniform(np.linalg.eigvalsh(_gram(h_bob)), c_sig, noise)
+        # reduced QR of H_b^H: Q is an orthonormal basis of the user's row
+        # space and H_b H_b^H = R^H R
+        q, r = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))
+        # the user hears no noise, so its rate is that of c_sig * R^H R
+        r_bob = _logdet2_cholesky(eye_b + (c_sig / noise) * _gram(r.conj().swapaxes(-1, -2)))
         # the eavesdropper hears the signal through the user's row space and
         # the noise through its null space: with A = H_e H_b^H (H_b H_b^H)^-1
         # H_b H_e^H the row-space part of H_e H_e^H, the noise covariance is
-        # c_an (H_e H_e^H - A) and the signal's c_sig A. A is formed from an
-        # orthonormal row-space basis Q (A = H_e Q Q^H H_e^H), not from the
-        # inverse Gram matrix, whose error grows with the square of H_b's
-        # condition number
-        q, _ = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))
+        # c_an (H_e H_e^H - A) and the signal's c_sig A. A is formed from Q
+        # (A = H_e Q Q^H H_e^H), not from the inverse Gram matrix, whose error
+        # grows with the square of H_b's condition number
         a = _gram(h_eve @ q)
-        an = eye + (c_an / noise) * (_gram(h_eve) - a)
+        an = eye_e + (c_an / noise) * (_gram(h_eve) - a)
         r_eve = _logdet2_cholesky(an + (c_sig / noise) * a) - _logdet2_cholesky(an)
 
         vals = r_bob - r_eve

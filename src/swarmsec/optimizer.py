@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleStartError, NumericalError
 from .rates import (LOG2E, _check_aux, _check_pair, _lane_stack, _log_slope,
@@ -202,6 +201,10 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
     per-slot cap, the total transmission time, and each UAV's energy budget.
     Solved as an LP with a simplex method, so the result is a vertex.
     """
+    # imported here, not at the top: scipy.optimize costs about 0.4 s and 40 MB
+    # to load, and only this LP uses it
+    from scipy.optimize import linprog
+
     b = scenario.budgets
     coeff = per_slot_secrecy(scenario, schedule, aux) / b.t_period_s
     n = scenario.n_slots

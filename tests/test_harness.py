@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swarmsec
 from swarmsec.channel import dbm_to_watts, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
 from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
@@ -763,6 +767,34 @@ def test_cli_seed_override_changes_output(tmp_path):
     c1 = _read_csv(tmp_path / "s1" / "optimize_trace.csv")
     c2 = _read_csv(tmp_path / "s2" / "optimize_trace.csv")
     assert c1["objective"] != c2["objective"]
+
+
+# the package, its parser and a validate run leave scipy.optimize unloaded;
+# the first duration LP loads it
+_LAZY_LP_SCRIPT = """
+import sys
+from swarmsec.harness.cli import build_parser
+from swarmsec.harness.config import load_config
+from swarmsec.harness.experiments import run_experiment
+
+build_parser()
+run_experiment(load_config(sys.argv[1]), "validate", sys.argv[3])
+print("scipy.optimize" in sys.modules)
+run_experiment(load_config(sys.argv[2]), "optimize", sys.argv[3])
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_lp_solver_loads_at_the_first_lp(tmp_path):
+    # a fresh interpreter: this one may have loaded scipy.optimize already
+    validate_cfg, optimize_cfg = tmp_path / "validate.yaml", tmp_path / "optimize.yaml"
+    save_config(tiny_config(n_slots=1, mc_samples=200), validate_cfg)
+    save_config(tiny_config(), optimize_cfg)
+    env = dict(os.environ, PYTHONPATH=str(Path(swarmsec.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _LAZY_LP_SCRIPT, str(validate_cfg),
+                          str(optimize_cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 # ---------------------------------------------------------------------------
