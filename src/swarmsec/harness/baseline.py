@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import LOG2E, RateEstimate, _check_tau, _gram, _weighted_estimate
+from ..rates import LOG2E, RateEstimate, _check_tau, _weighted_estimate
 from ..scenario import Scenario, check_count
 
 
@@ -54,8 +54,10 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     variances = np.empty(scenario.n_slots)
     for n in range(scenario.n_slots):
         stream = streams[n]
-        h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
-        h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
+        h_bob = sample_small_scale(stream, nb, n_uavs, samples)
+        h_bob /= np.sqrt(scenario.loss_bob[n])
+        h_eve = sample_small_scale(stream, ne, n_uavs, samples)
+        h_eve /= np.sqrt(scenario.loss_eve[n])
 
         # reduced QR of H_b^H: Q is an orthonormal basis of the user's row
         # space and H_b H_b^H = R^H R
@@ -76,6 +78,11 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """H H^H per draw for a batch of matrices (M, ., L)."""
+    return h @ h.conj().swapaxes(-1, -2)
 
 
 def _logdet2_cholesky(k: np.ndarray) -> np.ndarray:

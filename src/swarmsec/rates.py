@@ -192,14 +192,68 @@ def _logdet2_quadratic(h: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray
     return logabs * LOG2E
 
 
-def _gram(h: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """H G^H per draw for batches of channels (M, ., L); H H^H without ``g``."""
-    return h @ (h if g is None else g).conj().swapaxes(-1, -2)
+def _re_dot(u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re(u^H z) per draw for (m, M) arrays with the draws on the last axis."""
+    return np.einsum("im,im->m", u.real, z.real) + np.einsum("im,im->m", u.imag, z.imag)
 
 
-def _logdet2_uniform(lam: np.ndarray, c: float, noise: float) -> np.ndarray:
-    """log2 det(I + c H H^H / noise) per draw, from the eigenvalues ``lam`` of H H^H."""
-    return np.sum(np.log1p(lam * (c / noise)), axis=-1) * LOG2E
+def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder tridiagonal form T of H H^H for a batch of channels h: (M, n, L).
+
+    Works with the draws on the last axis: the Gram is an (n, n, M) array and
+    each reflection is a few whole-array operations. Returns T's real
+    diagonal, (n, M), and the squared moduli of its off-diagonal, (n - 1, M),
+    which is all a log-det of I + s T needs.
+    """
+    n = h.shape[1]
+    g = np.empty((n, n, h.shape[0]), dtype=complex)
+    for i in range(n):
+        # column i on and below the diagonal, mirrored above it
+        g[i:, i] = np.einsum("mjl,ml->jm", h[:, i:], h[:, i].conj())
+        np.conjugate(g[i + 1:, i], out=g[i, i + 1:])
+    off2 = np.empty((n - 1, h.shape[0]))
+    for k in range(n - 1):
+        # column k below the diagonal, x, becomes (beta, 0, ...) with |beta| = |x|
+        # under the reflection I - tau v v^H, v = x + e^{i arg x0} |x| e1; where
+        # x has no tail to zero (always at the last column) tau = 0 leaves the
+        # trailing block as it is
+        x, rest = g[k + 1:, k], g[k + 1:, k + 1:]
+        head2, tail2 = _re_dot(x[:1], x[:1]), _re_dot(x[1:], x[1:])
+        off2[k] = head2 + tail2
+        alpha, head = np.sqrt(off2[k]), np.sqrt(head2)
+        tau = np.divide(1.0, alpha * (alpha + head), out=np.zeros_like(alpha),
+                        where=tail2 > 0.0)
+        v = x.copy()
+        v[0] += np.divide(x[0], head, out=np.ones_like(x[0]), where=head > 0.0) * alpha
+        # rest <- (I - tau v v^H) rest (I - tau v v^H) = rest - v q^H - q v^H,
+        # with q = w - (tau/2)(v^H w) v, w = tau rest v, and v^H w real
+        q = np.einsum("ijm,jm->im", rest, v)
+        q *= tau
+        q -= (0.5 * tau * _re_dot(v, q)) * v
+        q_conj, v_conj = q.conj(), v.conj()
+        for j in range(n - k - 1):
+            rest[:, j] -= v * q_conj[j]
+            rest[:, j] -= q * v_conj[j]
+    idx = np.arange(n)
+    return g.real[idx, idx], off2
+
+
+def _logdet2_tridiagonal(diag: np.ndarray, off2: np.ndarray, c: float,
+                         noise: float) -> np.ndarray:
+    """log2 det(I + c T / noise) per draw, T as ``_tridiagonal_gram`` gives it.
+
+    The LDL^T pivots of I + s T, s = c / noise, are d_k = 1 + e_k with
+    e_0 = s a_0 and e_k = s a_k - s^2 |b_{k-1}|^2 / d_{k-1}; the log-det is
+    the sum of log2 d_k, each taken through log1p so that small s keeps its
+    relative accuracy.
+    """
+    s = c / noise
+    e = s * diag[0]
+    total = np.log1p(e)
+    for a, b2 in zip(diag[1:], off2):
+        e = s * a - s * s * b2 / (1.0 + e)
+        total += np.log1p(e)
+    return total * LOG2E
 
 
 def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,20 +279,23 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     (..., L) stacks of rows, and every row is evaluated on the same
     ``samples`` draws of H: one row of shape (L,) gives float estimates, a
     stack arrays over its leading axes. A log-det whose powers are equal
-    across the L transmitters is read off the eigenvalues of H H^H, computed
-    at most once per call; any other takes ``_logdet2_quadratic``. Each row
-    gives the same bits alone or in any stack.
+    across the L transmitters, c each, is log2 det(I + (c / noise) T) with T
+    the Householder tridiagonal form of H H^H, reduced at most once per call:
+    a pivot recurrence of O(n) array operations per power level. Any other
+    takes ``_logdet2_quadratic``. Each row gives the same bits alone or in
+    any stack.
     """
     samples = check_count("samples", samples)
     losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
-    h = sample_small_scale(rng, n_antennas, losses.size, samples) / np.sqrt(losses)
+    h = sample_small_scale(rng, n_antennas, losses.size, samples)
+    h /= np.sqrt(losses)
     # per row, the powers of its two log-dets (P_num + P_den, then P_den)
     pairs = np.stack([p_num + p_den, p_den], axis=-2).reshape(-1, 2, losses.size)
     uniform = np.all(pairs == pairs[..., :1], axis=-1)
-    lam = np.linalg.eigvalsh(_gram(h)) if uniform.any() else None
+    tri = _tridiagonal_gram(h) if uniform.any() else None
 
     def logdet2(p, is_uniform):
-        return (_logdet2_uniform(lam, p[0], noise) if is_uniform
+        return (_logdet2_tridiagonal(*tri, p[0], noise) if is_uniform
                 else _logdet2_quadratic(h, p, noise))
 
     mean, stderr = [], []

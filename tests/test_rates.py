@@ -14,9 +14,10 @@ from swarmsec.errors import NumericalError
 from swarmsec.optimizer import (solve_duration_lp, solve_power_subproblem,
                                 throughput_at_aux)
 from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_quadratic,
-                            ergodic_rate_mc, fixed_point_residual, per_slot_secrecy,
-                            rate_term, secrecy_throughput_closed_form,
-                            secrecy_throughput_mc, solve_fixed_point)
+                            _logdet2_tridiagonal, _tridiagonal_gram, ergodic_rate_mc,
+                            fixed_point_residual, per_slot_secrecy, rate_term,
+                            secrecy_throughput_closed_form, secrecy_throughput_mc,
+                            solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
 
 from conftest import feasible_schedule, small_scenario
@@ -305,10 +306,10 @@ def test_mc_batch_equals_rows_alone():
             assert batch.std_error[idx] == alone.std_error
 
 
-def test_mc_gram_eigenvalues_match_quadratic_log_dets():
-    # a row with equal powers across transmitters is read off the eigenvalues
-    # of H H^H; the quadratic-form log-dets on the same draws are its oracle,
-    # also where H H^H is singular (more antennas than transmitters)
+def test_mc_tridiagonal_log_dets_match_quadratic_log_dets():
+    # a row with equal powers across transmitters is read off the tridiagonal
+    # form of H H^H; the quadratic-form log-dets on the same draws are its
+    # oracle, also where H H^H is singular (more antennas than transmitters)
     for n_antennas, n_tx in ((5, 7), (3, 7), (5, 3)):
         losses = np.linspace(1.0, 9.0, n_tx) * 1e10
         for c_num, c_den in ((0.3, 0.05), (1e-3, 1.0), (2.0, 0.0)):
@@ -321,6 +322,77 @@ def test_mc_gram_eigenvalues_match_quadratic_log_dets():
             assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
             assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(2000),
                                                   rel=1e-8)
+
+
+def _eigvalsh_logdet2(h, s):
+    """log2 det(I + s H H^H) per draw and the eigenvalues of H H^H, by one
+    eigensolve per draw: the oracle of the tridiagonal pivot recurrence."""
+    lam = np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2))
+    return np.sum(np.log1p(lam * s), axis=-1) * LOG2E, lam
+
+
+def _oracle_channels():
+    """(channels, rank deficient) pairs: full-rank Grams of 1 to 7 antennas,
+    a singular one (5 antennas, 3 transmitters), a nearly singular one, and
+    one whose antennas 0 and 2 hear nothing (exact zeros to reflect)."""
+    cases = []
+    for n_antennas, n_tx in ((1, 1), (2, 7), (3, 7), (5, 7), (7, 7), (5, 3)):
+        h = sample_small_scale(substream(10 * n_antennas + n_tx, "oracle"),
+                               n_antennas, n_tx, 500)
+        cases.append((h / np.sqrt(np.linspace(1.0, 4.0, n_tx)), n_antennas > n_tx))
+    h = sample_small_scale(substream(57, "oracle"), 5, 7, 500)
+    h[:, -1] = h[:, 0] + 1e-6 * h[:, -1]  # last antenna nearly repeats the first
+    cases.append((h, True))
+    h = sample_small_scale(substream(47, "oracle"), 4, 7, 500)
+    h[:, [0, 2]] = 0.0
+    cases.append((h, True))
+    return cases
+
+
+def test_tridiagonal_log_dets_match_gram_eigenvalues():
+    # per draw, the pivot recurrence on the tridiagonal form against the
+    # eigenvalues of H H^H on the same draws, at rel 1e-12 over c/noise from
+    # 1e-6 to 1e6. Where H H^H is (nearly) singular, both forms start from a
+    # Gram whose eigenvalues rounding moves by about eps*||G||, and a log-det
+    # moves by s*eps*||G||/(1 + s*lam) per eigenvalue; n times that
+    # first-order floor is added there, and only there
+    eps = np.finfo(float).eps
+    for h, deficient in _oracle_channels():
+        n_antennas = h.shape[1]
+        diag, off2 = _tridiagonal_gram(h)
+        assert diag.shape == (n_antennas, 500) and off2.shape == (n_antennas - 1, 500)
+        for s in 10.0 ** np.arange(-6, 7):
+            ref, lam = _eigvalsh_logdet2(h, s)
+            floor = np.zeros_like(ref)
+            if deficient:
+                floor = (n_antennas * eps * LOG2E * lam[:, -1]
+                         * np.sum(s / (1.0 + s * np.maximum(lam, 0.0)), axis=-1))
+            for c, noise in ((s, 1.0), (s * 1e-13, 1e-13)):
+                got = _logdet2_tridiagonal(diag, off2, c, noise)
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref + floor)
+        assert np.all(_logdet2_tridiagonal(diag, off2, 0.0, 1e-13) == 0.0)
+
+
+def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
+    # equal-power rows are scored from the tridiagonal form alone; an
+    # eigensolver, SVD or factorization per draw must not come back unnoticed
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-draw LAPACK call")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det",
+                 "cholesky", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    losses = np.linspace(2.0, 6.0, 7) * 1e10
+    levels = 10.0 ** np.arange(-3.0, 1.0)
+    p_num = np.repeat(levels[:, None], 7, axis=1)
+    for n_antennas in (1, 2, 5, 9):
+        est = ergodic_rate_mc(losses, p_num, 0.5 * p_num, 1e-13, n_antennas, 200,
+                              substream(n_antennas, "guard"))
+        assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
+    # the guard bites: a row with unequal powers takes the quadratic form
+    with pytest.raises(AssertionError, match="LAPACK"):
+        ergodic_rate_mc(losses, np.linspace(0.1, 0.7, 7), np.full(7, 0.1), 1e-13, 3,
+                        200, substream(0, "guard"))
 
 
 def test_throughput_mc_schedule_sequence_equals_each_alone():
