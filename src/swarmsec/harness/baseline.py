@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import sample_small_scale
-from ..rates import LOG2E, RateEstimate, _check_tau, _weighted_estimate
+from ..rates import RateEstimate, _check_tau, _logdet2, _weighted_estimate
 from ..scenario import Scenario, check_count
 
 
@@ -47,7 +47,8 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
     noise = scenario.noise_w
-    eye_b, eye_e = np.eye(nb), np.eye(ne)
+    p_bob, p_an = np.full(nb, c_sig), np.full(n_uavs, c_an)
+    p_eve = np.concatenate([p_bob, p_an])  # over the columns of [H_e Q, H_e (I - Q Q^H)]
     streams = rng.spawn(scenario.n_slots)
 
     diffs = np.empty(scenario.n_slots)
@@ -60,32 +61,20 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         h_eve /= np.sqrt(scenario.loss_eve[n])
 
         # reduced QR of H_b^H: Q is an orthonormal basis of the user's row
-        # space and H_b H_b^H = R^H R
-        q, r = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))
-        # the user hears no noise, so its rate is that of c_sig * R^H R
-        r_bob = _logdet2_cholesky(eye_b + (c_sig / noise) * _gram(r.conj().swapaxes(-1, -2)))
-        # the eavesdropper hears the signal through the user's row space and
-        # the noise through its null space: with A = H_e H_b^H (H_b H_b^H)^-1
-        # H_b H_e^H the row-space part of H_e H_e^H, the noise covariance is
-        # c_an (H_e H_e^H - A) and the signal's c_sig A. A is formed from Q
-        # (A = H_e Q Q^H H_e^H), not from the inverse Gram matrix, whose error
-        # grows with the square of H_b's condition number
-        a = _gram(h_eve @ q)
-        an = eye_e + (c_an / noise) * (_gram(h_eve) - a)
-        r_eve = _logdet2_cholesky(an + (c_sig / noise) * a) - _logdet2_cholesky(an)
+        # space, which the user hears the signal through and no noise
+        q = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))[0]
+        r_bob = _logdet2(h_bob, p_bob, noise)
+        # the eavesdropper hears the signal through the row space, H_e Q, and
+        # the noise through the null space, H_e (I - Q Q^H): the projection
+        # itself, not H_e H_e^H minus its row-space part, so the noise term
+        # keeps its accuracy where the null space is thin
+        h_row = h_eve @ q
+        h_null = h_eve - h_row @ q.conj().swapaxes(-1, -2)
+        r_eve = (_logdet2(np.concatenate([h_row, h_null], axis=-1), p_eve, noise)
+                 - _logdet2(h_null, p_an, noise))
 
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
 
-
-def _gram(h: np.ndarray) -> np.ndarray:
-    """H H^H per draw for a batch of matrices (M, ., L)."""
-    return h @ h.conj().swapaxes(-1, -2)
-
-
-def _logdet2_cholesky(k: np.ndarray) -> np.ndarray:
-    """log2 det K per draw for a batch of Hermitian positive definite K: (M, n, n)."""
-    diag = np.diagonal(np.linalg.cholesky(k), axis1=-2, axis2=-1).real
-    return 2.0 * LOG2E * np.sum(np.log(diag), axis=-1)

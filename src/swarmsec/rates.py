@@ -182,16 +182,6 @@ def solve_fixed_point(p, n_antennas, losses, noise: float):
     return _out(np.maximum(t, 0.0))
 
 
-def _logdet2_quadratic(h: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
-    """log2 det(I + H diag(p) H^H / noise) for a batch of channels h: (M, Nq, L)."""
-    nq = h.shape[1]
-    a = np.einsum("mil,l,mkl->mik", h, p / noise, h.conj(), optimize=True)
-    idx = np.arange(nq)
-    a[:, idx, idx] += 1.0
-    _, logabs = np.linalg.slogdet(a)
-    return logabs * LOG2E
-
-
 def _re_dot(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Re(u^H z) per draw for (m, M) arrays with the draws on the last axis."""
     return np.einsum("im,im->m", u.real, z.real) + np.einsum("im,im->m", u.imag, z.imag)
@@ -256,6 +246,33 @@ def _logdet2_tridiagonal(diag: np.ndarray, off2: np.ndarray, c: float,
     return total * LOG2E
 
 
+def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
+             reductions: dict | None = None) -> np.ndarray:
+    """log2 det(I + H diag(p) H^H / noise) per draw for a batch of channels h: (M, n, L).
+
+    With c = max(p), this is log2 det(I + (c / noise) T), T the tridiagonal
+    form of the Gram of H diag(sqrt(p / c)) (columns of zero power dropped).
+    ``reductions`` caches one reduction per power profile p / c and belongs
+    to this one ``h``: equal powers at any level share profile 1, which
+    reduces H itself. An all-zero p gives exactly 0.
+    """
+    c = p.max()
+    if c == 0.0:
+        return np.zeros(h.shape[0])
+    profile = p / c
+    reductions = {} if reductions is None else reductions
+    key = profile.tobytes()
+    if key not in reductions:
+        if np.all(profile == 1.0):
+            g = h
+        else:
+            on = profile > 0.0
+            g = h[..., on]
+            g *= np.sqrt(profile[on])
+        reductions[key] = _tridiagonal_gram(g)
+    return _logdet2_tridiagonal(*reductions[key], c, noise)
+
+
 def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One receiver's (L,) losses and two equal-shape (..., L) power stacks."""
     losses = np.asarray(losses, dtype=float)
@@ -278,29 +295,21 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     P_num + P_den against the noise floor minus that of P_den. The powers are
     (..., L) stacks of rows, and every row is evaluated on the same
     ``samples`` draws of H: one row of shape (L,) gives float estimates, a
-    stack arrays over its leading axes. A log-det whose powers are equal
-    across the L transmitters, c each, is log2 det(I + (c / noise) T) with T
-    the Householder tridiagonal form of H H^H, reduced at most once per call:
-    a pivot recurrence of O(n) array operations per power level. Any other
-    takes ``_logdet2_quadratic``. Each row gives the same bits alone or in
-    any stack.
+    stack arrays over its leading axes. Each log-det is ``_logdet2``'s pivot
+    recurrence on a tridiagonal form, reduced once per call and power
+    profile, so equal-power rows at any level share one reduction. Each row
+    gives the same bits alone or in any stack.
     """
+    n_antennas = check_count("n_antennas", n_antennas)
     samples = check_count("samples", samples)
     losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
     h = sample_small_scale(rng, n_antennas, losses.size, samples)
     h /= np.sqrt(losses)
-    # per row, the powers of its two log-dets (P_num + P_den, then P_den)
-    pairs = np.stack([p_num + p_den, p_den], axis=-2).reshape(-1, 2, losses.size)
-    uniform = np.all(pairs == pairs[..., :1], axis=-1)
-    tri = _tridiagonal_gram(h) if uniform.any() else None
-
-    def logdet2(p, is_uniform):
-        return (_logdet2_tridiagonal(*tri, p[0], noise) if is_uniform
-                else _logdet2_quadratic(h, p, noise))
-
+    reductions = {}
     mean, stderr = [], []
-    for (total, den), (total_uniform, den_uniform) in zip(pairs, uniform):
-        vals = logdet2(total, total_uniform) - logdet2(den, den_uniform)
+    for total, den in zip((p_num + p_den).reshape(-1, losses.size),
+                          p_den.reshape(-1, losses.size)):
+        vals = _logdet2(h, total, noise, reductions) - _logdet2(h, den, noise, reductions)
         mean.append(vals.mean())
         stderr.append(vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
     shape = p_den.shape[:-1]

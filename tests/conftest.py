@@ -1,9 +1,11 @@
-"""Shared builders: small deterministic scenarios with hand-placed nodes."""
+"""Shared builders: small deterministic scenarios with hand-placed nodes, and
+the quadratic-form log-det oracle of the Monte Carlo estimators."""
 
 import numpy as np
 import pytest
 
 from swarmsec.channel import environment_preset
+from swarmsec.rates import LOG2E
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 
@@ -21,6 +23,17 @@ def positions(slots):
     """The ``Scenario`` position arrays of a sequence of ``make_slot`` slots."""
     uav, bob, eve = zip(*slots)
     return dict(uav_xyz=np.array(uav), bob_xy=np.array(bob), eve_xy=np.array(eve))
+
+
+def logdet2_quadratic(h, p, noise):
+    """log2 det(I + H diag(p) H^H / noise) for a batch of channels h: (M, Nq, L),
+    by forming the matrix and one ``slogdet`` per draw."""
+    nq = h.shape[1]
+    a = np.einsum("mil,l,mkl->mik", h, p / noise, h.conj(), optimize=True)
+    idx = np.arange(nq)
+    a[:, idx, idx] += 1.0
+    _, logabs = np.linalg.slogdet(a)
+    return logabs * LOG2E
 
 
 def default_budgets(p_max_w=1.0, e_max_j=300.0, t_total_s=100.0, tau_max_s=8.0,

@@ -27,7 +27,9 @@ from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict
 from swarmsec.harness.experiments import initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
 from swarmsec.optimizer import audit_feasibility, run_bcd
-from swarmsec.rates import LOG2E, _logdet2_quadratic, secrecy_throughput_closed_form
+from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
+
+from conftest import logdet2_quadratic
 
 
 def tiny_config(**overrides):
@@ -416,8 +418,8 @@ def _per_point_validate(config):
                     s = math.sqrt(0.5) * (stream.standard_normal(shape)
                                           + 1j * stream.standard_normal(shape))
                     h = s / np.sqrt(losses[i])
-                    vals = (_logdet2_quadratic(h, p_s + p_a, scenario.noise_w)
-                            - _logdet2_quadratic(h, p_a, scenario.noise_w))
+                    vals = (logdet2_quadratic(h, p_s + p_a, scenario.noise_w)
+                            - logdet2_quadratic(h, p_a, scenario.noise_w))
                     means.append(vals.mean())
                     errors.append(vals.std(ddof=1) / math.sqrt(samples))
                 diffs.append(means[0] - means[1])
@@ -429,7 +431,7 @@ def _per_point_validate(config):
 
 def test_validate_matches_per_point_oracle(tmp_path):
     # validate draws each slot's fading once for the whole grid and reads the
-    # uniform-power log-dets off Gram eigenvalues; the same draws redrawn at
+    # log-dets off tridiagonal forms of the Gram; the same draws redrawn at
     # every point and scored by slogdet must give the same cells
     for env in ("suburban", "urban", "dense-urban", "highrise-urban"):
         cfg = ScenarioConfig(environment=env, n_slots=2, mc_samples=1000, seed=5)

@@ -11,16 +11,17 @@ from scipy.special import exp1
 
 from swarmsec.channel import sample_small_scale, substream
 from swarmsec.errors import NumericalError
+from swarmsec.harness.baseline import baseline_null_space
 from swarmsec.optimizer import (solve_duration_lp, solve_power_subproblem,
                                 throughput_at_aux)
-from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_quadratic,
-                            _logdet2_tridiagonal, _tridiagonal_gram, ergodic_rate_mc,
+from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_tridiagonal,
+                            _tridiagonal_gram, ergodic_rate_mc,
                             fixed_point_residual, per_slot_secrecy, rate_term,
                             secrecy_throughput_closed_form, secrecy_throughput_mc,
                             solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
 
-from conftest import feasible_schedule, small_scenario
+from conftest import feasible_schedule, logdet2_quadratic, small_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,9 @@ def test_mc_input_validation():
     for samples in (2.5, True):
         with pytest.raises(ValueError):
             ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, 1, samples, substream(0, "n"))
+        # and so is an antenna count
+        with pytest.raises(ValueError):
+            ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, samples, 10, substream(0, "n"))
         with pytest.raises(ValueError):
             secrecy_throughput_mc(scenario, schedule, np.ones(2), samples,
                                   substream(0, "n"))
@@ -290,8 +294,8 @@ def _mixed_power_rows(n_tx):
 
 
 def test_mc_batch_equals_rows_alone():
-    # every row of a stack gets the bits it gets alone, whichever log-det
-    # path (Gram eigenvalues or the quadratic form) each of its powers takes
+    # every row of a stack gets the bits it gets alone, whether its log-dets
+    # share one tridiagonal reduction with other rows or take their own
     for n_antennas, n_tx in ((3, 4), (5, 3), (1, 1)):
         losses = np.linspace(2.0, 6.0, n_tx) * 1e10
         p_num, p_den = _mixed_power_rows(n_tx)
@@ -307,21 +311,28 @@ def test_mc_batch_equals_rows_alone():
 
 
 def test_mc_tridiagonal_log_dets_match_quadratic_log_dets():
-    # a row with equal powers across transmitters is read off the tridiagonal
-    # form of H H^H; the quadratic-form log-dets on the same draws are its
-    # oracle, also where H H^H is singular (more antennas than transmitters)
+    # every log-det is read off the tridiagonal form of the Gram of
+    # H diag(sqrt(p / max p)); the quadratic-form log-dets on the same draws
+    # are its oracle, for equal and unequal powers with silent transmitters,
+    # also where the Gram is singular (more antennas than transmitters)
     for n_antennas, n_tx in ((5, 7), (3, 7), (5, 3)):
         losses = np.linspace(1.0, 9.0, n_tx) * 1e10
-        for c_num, c_den in ((0.3, 0.05), (1e-3, 1.0), (2.0, 0.0)):
-            est = ergodic_rate_mc(losses, np.full(n_tx, c_num), np.full(n_tx, c_den),
-                                  1e-13, n_antennas, 2000, substream(n_tx, "eig"))
-            h = sample_small_scale(substream(n_tx, "eig"), n_antennas, n_tx, 2000)
-            h = h / np.sqrt(losses)
-            vals = (_logdet2_quadratic(h, np.full(n_tx, c_num + c_den), 1e-13)
-                    - _logdet2_quadratic(h, np.full(n_tx, c_den), 1e-13))
-            assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
-            assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(2000),
-                                                  rel=1e-8)
+        flat, ramp = np.ones(n_tx), np.linspace(0.1, 1.0, n_tx)
+        gaps = ramp * (np.arange(n_tx) % 2)  # every other transmitter silent
+        rows = [(0.3 * flat, 0.05 * flat), (1e-3 * flat, flat), (2.0 * flat, 0.0 * flat),
+                (0.3 * ramp, 0.05 * ramp[::-1]), (1e-3 * gaps, ramp),
+                (2.0 * gaps, 0.0 * flat), (ramp, gaps)]
+        p_num, p_den = (np.array(col) for col in zip(*rows))
+        est = ergodic_rate_mc(losses, p_num, p_den, 1e-13, n_antennas, 2000,
+                              substream(n_tx, "eig"))
+        h = sample_small_scale(substream(n_tx, "eig"), n_antennas, n_tx, 2000)
+        h = h / np.sqrt(losses)
+        for k, (num, den) in enumerate(rows):
+            vals = (logdet2_quadratic(h, num + den, 1e-13)
+                    - logdet2_quadratic(h, den, 1e-13))
+            assert est.mean[k] == pytest.approx(vals.mean(), rel=1e-12)
+            assert est.std_error[k] == pytest.approx(vals.std(ddof=1) / math.sqrt(2000),
+                                                     rel=1e-8)
 
 
 def _eigvalsh_logdet2(h, s):
@@ -374,25 +385,36 @@ def test_tridiagonal_log_dets_match_gram_eigenvalues():
 
 
 def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
-    # equal-power rows are scored from the tridiagonal form alone; an
-    # eigensolver, SVD or factorization per draw must not come back unnoticed
+    # every Monte Carlo log-det, at equal, unequal or zero powers, is read off
+    # a tridiagonal form, and the null-space baseline takes one QR per draw
+    # and nothing else: an eigensolver, SVD or factorization per draw must not
+    # come back unnoticed
     def refuse(*args, **kwargs):
         raise AssertionError("per-draw LAPACK call")
 
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det",
-                 "cholesky", "qr"):
+    solvers = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det", "cholesky")
+    for name in solvers:
         monkeypatch.setattr(np.linalg, name, refuse)
+    scenario = small_scenario(n_uavs=4)
+    est = baseline_null_space(scenario, np.ones(2), 200, substream(0, "guard"))
+    assert math.isfinite(est.mean) and est.std_error > 0.0
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
     losses = np.linspace(2.0, 6.0, 7) * 1e10
     levels = 10.0 ** np.arange(-3.0, 1.0)
-    p_num = np.repeat(levels[:, None], 7, axis=1)
+    p_num = np.concatenate([np.repeat(levels[:, None], 7, axis=1),
+                            levels[:, None] * np.linspace(0.0, 1.0, 7)])
     for n_antennas in (1, 2, 5, 9):
-        est = ergodic_rate_mc(losses, p_num, 0.5 * p_num, 1e-13, n_antennas, 200,
+        est = ergodic_rate_mc(losses, p_num, 0.5 * p_num[::-1], 1e-13, n_antennas, 200,
                               substream(n_antennas, "guard"))
         assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
-    # the guard bites: a row with unequal powers takes the quadratic form
-    with pytest.raises(AssertionError, match="LAPACK"):
-        ergodic_rate_mc(losses, np.linspace(0.1, 0.7, 7), np.full(7, 0.1), 1e-13, 3,
-                        200, substream(0, "guard"))
+        zero = ergodic_rate_mc(losses, np.zeros(7), np.zeros(7), 1e-13, n_antennas, 200,
+                               substream(n_antennas, "guard"))
+        assert zero.mean == 0.0 and zero.std_error == 0.0
+    # the guard is live: each patched solver raises
+    for name in solvers + ("qr",):
+        with pytest.raises(AssertionError, match="LAPACK"):
+            getattr(np.linalg, name)(np.eye(2))
 
 
 def test_throughput_mc_schedule_sequence_equals_each_alone():
