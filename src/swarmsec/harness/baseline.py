@@ -39,42 +39,37 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas
     if n_uavs <= nb:
         raise ValueError("null-space noise needs more swarm members than user antennas")
-    phi = baseline_power_split(nb, ne) if signal_fraction is None else float(signal_fraction)
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"signal fraction must lie in [0, 1], got {phi}")
+    phi = baseline_power_split(nb, ne) if signal_fraction is None else signal_fraction
+    if (isinstance(phi, bool) or not isinstance(phi, (int, float, np.integer, np.floating))
+            or not 0.0 <= phi <= 1.0):
+        raise ValueError(f"signal fraction must be a number in [0, 1], got {phi!r}")
+    phi = float(phi)
 
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
     noise = scenario.noise_w
-    p_bob, p_an = np.full(nb, c_sig), np.full(n_uavs, c_an)
-    p_eve = np.concatenate([p_bob, p_an])  # over the columns of [H_e Q, H_e (I - Q Q^H)]
-    streams = rng.spawn(scenario.n_slots)
+    # powers over the columns of T below: the user's row space, then the null space
+    p = np.repeat([c_sig, c_an], [nb, min(n_uavs - nb, ne)])
 
     diffs = np.empty(scenario.n_slots)
     variances = np.empty(scenario.n_slots)
-    for n in range(scenario.n_slots):
-        stream = streams[n]
-        h_bob = sample_small_scale(stream, nb, n_uavs, samples)
-        h_bob /= np.sqrt(scenario.loss_bob[n])
-        h_eve = sample_small_scale(stream, ne, n_uavs, samples)
-        h_eve /= np.sqrt(scenario.loss_eve[n])
+    for n, stream in enumerate(rng.spawn(scenario.n_slots)):
+        # the user's rows, then the eavesdropper's, drawn in that order
+        h = np.concatenate([sample_small_scale(stream, nb, n_uavs, samples),
+                            sample_small_scale(stream, ne, n_uavs, samples)], axis=1)
+        h[:, :nb] /= np.sqrt(scenario.loss_bob[n])
+        h[:, nb:] /= np.sqrt(scenario.loss_eve[n])
 
-        # reduced QR of H_b^H: Q is an orthonormal basis of the user's row
-        # space, which the user hears the signal through and no noise
-        q = np.linalg.qr(h_bob.conj().swapaxes(-1, -2))[0]
-        r_bob = _logdet2(h_bob, p_bob, noise)
-        # the eavesdropper hears the signal through the row space, H_e Q, and
-        # the noise through the null space, H_e (I - Q Q^H): the projection
-        # itself, not H_e H_e^H minus its row-space part, so the noise term
-        # keeps its accuracy where the null space is thin
-        h_row = h_eve @ q
-        h_null = h_eve - h_row @ q.conj().swapaxes(-1, -2)
-        r_eve = (_logdet2(np.concatenate([h_row, h_null], axis=-1), p_eve, noise)
-                 - _logdet2(h_null, p_an, noise))
+        # [H_b; H_e] = T Q^T, T = R^T lower trapezoidal, Q^T's rows orthonormal
+        # and never formed: H_b H_b^H = T_bb T_bb^H, and with P the projection
+        # onto the user's row space, H_e P H_e^H = T_eb T_eb^H carries the
+        # signal and H_e (I - P) H_e^H = T_ee T_ee^H the noise
+        t = np.linalg.qr(h.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        r_bob = _logdet2(t[:, :nb, :nb], p[:nb], noise)
+        r_eve = _logdet2(t[:, nb:], p, noise) - _logdet2(t[:, nb:, nb:], p[nb:], noise)
 
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
-

@@ -21,7 +21,7 @@ from .errors import InfeasibleStartError, NumericalError
 from .rates import (LOG2E, _check_aux, _check_pair, _lane_stack, _log_slope,
                     _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
                     solve_fixed_point)
-from .scenario import PowerSchedule, Scenario
+from .scenario import PowerSchedule, Scenario, check_count
 
 #: KKT residual the power block must reach (and is audited against)
 POWER_KKT_TOL = 1e-8
@@ -332,14 +332,17 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
             epsilon: float = 1e-3, max_iter: int = 50) -> SolutionTrace:
     """Block-coordinate ascent from a feasible starting point.
 
-    Stops once the fractional objective increase drops below ``epsilon``
-    (with a 1e-12 floor on the denominator) or after ``max_iter`` iterations.
+    Stops once the fractional objective gain (denominator floored at 1e-12)
+    drops below a finite ``epsilon`` > 0, or after ``max_iter`` >= 1 iterations.
     A start infeasible beyond ``FEASIBILITY_TOL`` raises ``InfeasibleStartError``.
     Every iterate is audited for feasibility; an objective decrease beyond
     ``MONOTONE_TOL`` relative is flagged in the iteration diagnostics rather
     than raised, since the surrogate-ascent guarantee is exact only to solver
     tolerance.
     """
+    max_iter = check_count("max_iter", max_iter)
+    if isinstance(epsilon, bool) or not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
     eps_floor = 1e-12
     tau = _check_pair(scenario, init_schedule, init_tau)
     initial = _evaluate(scenario, init_schedule, tau)

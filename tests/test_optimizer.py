@@ -504,6 +504,18 @@ def test_bcd_rejects_infeasible_start():
         run_bcd(scenario, hot, tau)
 
 
+def test_bcd_rejects_bad_stopping_rules():
+    # the config's bcd_max_iter and bcd_epsilon rules: no empty trace, no
+    # boolean or fractional count, and a tolerance that is finite and positive
+    scenario, schedule, tau = _bcd_setup()
+    for max_iter in (0, -2, True, 1.5):
+        with pytest.raises(ValueError):
+            run_bcd(scenario, schedule, tau, max_iter=max_iter)
+    for epsilon in (float("nan"), 0.0, -1.0, float("inf"), True):
+        with pytest.raises(ValueError):
+            run_bcd(scenario, schedule, tau, epsilon=epsilon)
+
+
 def test_bcd_solves_each_iterations_fixed_points_once(monkeypatch):
     # the aux blocks reuse the closed form's fixed points: 4N lanes for the
     # starting point plus 4N per iteration's closed-form evaluation
