@@ -10,16 +10,29 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 LIGHT_SPEED_M_S = 3.0e8
 
 
+def check_real(name: str, value) -> float:
+    """A real number as a float; booleans, strings and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
-    """Propagation constants of one deployment environment."""
+    """Propagation constants of one deployment environment.
+
+    Each field is stored as a float. The per-link constants of the loss formula
+    are derived once here and kept in a plain attribute, not a field, so they
+    stay out of the repr, equality, hashing and ``dataclasses.asdict``.
+    """
 
     eta_los_db: float
     eta_nlos_db: float
@@ -28,6 +41,8 @@ class EnvironmentParams:
     carrier_freq_hz: float = 2.4e9
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_real(f.name, getattr(self, f.name)))
         for name in ("a", "b", "carrier_freq_hz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -35,6 +50,9 @@ class EnvironmentParams:
         for name in ("eta_los_db", "eta_nlos_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "_link_constants", (
+            self.eta_los_db - self.eta_nlos_db, self.a, -self.b, self.eta_nlos_db,
+            20.0 * math.log10(4.0 * math.pi * self.carrier_freq_hz / LIGHT_SPEED_M_S)))
 
 
 ENVIRONMENT_PRESETS = {
@@ -62,12 +80,12 @@ def dbm_to_watts(dbm: float) -> float:
         raise ValueError(f"power {dbm} dBm is out of range") from None
 
 
-def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
-    """Air-to-ground path loss in dB between one transmitter and one ground node.
+def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
+    """Absolute power attenuation factor between one transmitter and one ground node.
 
     ``uav`` is an airborne (x, y, z) point and ``ground`` an (x, y) point on
-    the ground, in meters. The loss is a function of the slant range d and the
-    elevation angle asin(z / d) in degrees.
+    the ground, in meters. The loss in dB is a function of the slant range d
+    and the elevation angle asin(z / d) in degrees; this returns 10**(dB / 10).
     """
     x, y, z = uav
     gx, gy = ground
@@ -75,16 +93,15 @@ def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
         raise ValueError(f"transmitter altitude must be positive, got {z}")
     d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
     rho = math.degrees(math.asin(z / d))
-    excess_span = env.eta_los_db - env.eta_nlos_db
-    blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
-    free_space = 20.0 * math.log10(d) + 20.0 * math.log10(
-        4.0 * math.pi * env.carrier_freq_hz / LIGHT_SPEED_M_S)
-    return blended + free_space + env.eta_nlos_db
+    excess_span, a, neg_b, eta_nlos_db, free_space_1m = env._link_constants
+    blended = excess_span / (1.0 + a * math.exp(neg_b * (rho - a)))
+    loss_db = blended + (20.0 * math.log10(d) + free_space_1m) + eta_nlos_db
+    return 10.0 ** (loss_db / 10.0)
 
 
-def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
-    """Absolute power attenuation factor, 10**(path_loss_db / 10)."""
-    return 10.0 ** (path_loss_db(env, uav, ground) / 10.0)
+def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
+    """Air-to-ground path loss in dB, 10 * log10(power_loss_linear(...))."""
+    return 10.0 * math.log10(power_loss_linear(env, uav, ground))
 
 
 def _entropy_word(part) -> int:

@@ -199,14 +199,23 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
 
     Maximizes the duration-weighted per-slot secrecy rates subject to the
     per-slot cap, the total transmission time, and each UAV's energy budget.
-    Solved as an LP with a simplex method, so the result is a vertex.
+    The result is a vertex: the box vertex when no budget row binds, otherwise
+    the LP solved with a simplex method.
     """
-    # imported here, not at the top: scipy.optimize costs about 0.4 s and 40 MB
-    # to load, and only this LP uses it
-    from scipy.optimize import linprog
-
     b = scenario.budgets
     coeff = per_slot_secrecy(scenario, schedule, aux) / b.t_period_s
+    # The box 0 <= tau <= tau_max contains the feasible set, so its maximizer
+    # is the LP optimum when it meets the energy and time rows, and the only
+    # one when no coefficient is 0. A nan goes on to linprog, which rejects it.
+    box = np.where(coeff > 0.0, b.tau_max_s, 0.0)
+    if (np.all(np.abs(coeff) > 0.0) and np.all(box @ schedule.p_u <= b.e_max_j)
+            and box.sum() <= b.t_total_s):
+        return box
+
+    # imported here, not at the top: scipy.optimize costs about 0.4 s and 40 MB
+    # to load, and only an LP whose box vertex breaks a budget row uses it
+    from scipy.optimize import linprog
+
     n = scenario.n_slots
     a_ub = np.vstack([schedule.p_u.T, np.ones((1, n))])  # one energy row per UAV
     b_ub = np.concatenate([np.full(scenario.n_uavs, b.e_max_j), [b.t_total_s]])

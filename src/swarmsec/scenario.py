@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import EnvironmentParams, power_loss_linear
+from .channel import EnvironmentParams, check_real, power_loss_linear
 
 
 @dataclass(frozen=True)
 class Budgets:
-    """Transmit-side resource limits. Power in watts, energy in joules, time in seconds."""
+    """Transmit-side resource limits. Power in watts, energy in joules, time in seconds.
+
+    Each field is stored as a float.
+    """
 
     p_max_w: float
     e_max_j: float
@@ -20,10 +23,11 @@ class Budgets:
     t_period_s: float
 
     def __post_init__(self):
-        for name in ("p_max_w", "e_max_j", "t_total_s", "tau_max_s", "t_period_s"):
-            v = float(getattr(self, name))
+        for f in fields(self):
+            v = check_real(f.name, getattr(self, f.name))
             if not (np.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+                raise ValueError(f"{f.name} must be positive and finite, got {v}")
+            object.__setattr__(self, f.name, v)
         if self.tau_max_s > self.t_total_s:
             raise ValueError("per-slot duration cap cannot exceed the total transmission time")
         if self.t_period_s < self.t_total_s:

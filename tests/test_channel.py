@@ -1,5 +1,6 @@
 """Path-loss model, unit conversions, seeded substreams, fading statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,11 +120,64 @@ def test_power_loss_linear_matches_db():
                                                                 rel=1e-14)
 
 
+def _two_step_power_loss(env, uav, ground):
+    """The loss as two steps, dB first, with every environment constant
+    recomputed per link: the form the stored per-link constants replaced."""
+    x, y, z = uav
+    gx, gy = ground
+    d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
+    rho = math.degrees(math.asin(z / d))
+    excess_span = env.eta_los_db - env.eta_nlos_db
+    blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
+    free_space = 20.0 * math.log10(d) + 20.0 * math.log10(
+        4.0 * math.pi * env.carrier_freq_hz / 3.0e8)
+    loss_db = blended + free_space + env.eta_nlos_db
+    return 10.0 ** (loss_db / 10.0)
+
+
+def test_power_loss_linear_equals_the_two_step_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    envs = list(ENVIRONMENT_PRESETS.values()) + [
+        EnvironmentParams(eta_los_db=0.7, eta_nlos_db=18.5, a=9.61, b=0.16,
+                          carrier_freq_hz=5.8e9)]
+    for env in envs:
+        for _ in range(250):
+            uav = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)),
+                   float(rng.uniform(1.0, 400.0)))
+            ground = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
+            assert power_loss_linear(env, uav, ground) == _two_step_power_loss(env, uav, ground)
+
+
 def test_environment_params_validation():
     with pytest.raises(ValueError):
         EnvironmentParams(eta_los_db=1.0, eta_nlos_db=20.0, a=-1.0)
     with pytest.raises(ValueError):
         EnvironmentParams(eta_los_db=float("nan"), eta_nlos_db=20.0)
+
+
+@pytest.mark.parametrize("fields", [dict(a=True), dict(eta_los_db="1"),
+                                    dict(carrier_freq_hz=None), dict(b=[0.3])])
+def test_environment_params_reject_booleans_and_non_numbers(fields):
+    with pytest.raises(ValueError, match=f"^{next(iter(fields))} must be a real number") as err:
+        EnvironmentParams(**{"eta_los_db": 1.0, "eta_nlos_db": 20.0, **fields})
+    assert "\n" not in str(err.value)
+
+
+def test_environment_params_store_floats_and_keep_derived_constants_private():
+    env = EnvironmentParams(eta_los_db=1, eta_nlos_db=np.int64(20), a=np.float32(5.0))
+    assert all(type(getattr(env, f)) is float
+               for f in ("eta_los_db", "eta_nlos_db", "a", "b", "carrier_freq_hz"))
+    assert env == EnvironmentParams(eta_los_db=1.0, eta_nlos_db=20.0, a=5.0)
+    assert hash(env) == hash(EnvironmentParams(eta_los_db=1.0, eta_nlos_db=20.0, a=5.0))
+    assert repr(env) == ("EnvironmentParams(eta_los_db=1.0, eta_nlos_db=20.0, a=5.0, "
+                         "b=0.3511, carrier_freq_hz=2400000000.0)")
+    assert set(dataclasses.asdict(env)) == {"eta_los_db", "eta_nlos_db", "a", "b",
+                                            "carrier_freq_hz"}
+    # a replaced field rederives the constants
+    near = dataclasses.replace(env, carrier_freq_hz=1e9)
+    uav, ground = (0.0, 0.0, 100.0), (0.0, 0.0)
+    assert power_loss_linear(near, uav, ground) == _two_step_power_loss(near, uav, ground)
+    assert power_loss_linear(near, uav, ground) < power_loss_linear(env, uav, ground)
 
 
 def test_substream_reproducible_and_keyed():

@@ -1,5 +1,5 @@
 """Geometry: slant ranges, elevation angles, worst-case eavesdropper placement,
-and the one check of node positions, in ``Scenario``.
+and the one check of node positions and budgets, in ``Scenario`` and ``Budgets``.
 
 The slant range and the elevation angle of a link are computed inside
 ``path_loss_db``; these tests read them back through the loss it returns.
@@ -12,7 +12,7 @@ import pytest
 
 from swarmsec.channel import environment_preset, path_loss_db, power_loss_linear
 from swarmsec.geometry import worst_case_eve_position
-from swarmsec.scenario import Scenario
+from swarmsec.scenario import Budgets, Scenario
 
 from conftest import default_budgets, make_slot, positions
 
@@ -76,6 +76,22 @@ def test_scenario_rejects_non_integer_antennas():
     assert _build(eve_antennas=np.int64(3)).eve_antennas == 3
     _assert_all_rejected([dict(eve_antennas=1.7), dict(bob_antennas=True),
                           dict(bob_antennas=0), dict(eve_antennas="2")])
+
+
+@pytest.mark.parametrize("fields", [dict(e_max_j="300"), dict(p_max_w=True),
+                                    dict(t_total_s=None), dict(tau_max_s=np.bool_(True))])
+def test_budgets_reject_booleans_and_non_numbers(fields):
+    with pytest.raises(ValueError, match=f"^{next(iter(fields))} must be a real number") as err:
+        default_budgets(**fields)
+    assert "\n" not in str(err.value)
+
+
+def test_budgets_store_floats():
+    budgets = Budgets(p_max_w=1, e_max_j=np.int64(300), t_total_s=np.float32(100.0),
+                      tau_max_s=8, t_period_s=210.0)
+    assert budgets == default_budgets()
+    assert all(type(getattr(budgets, f)) is float
+               for f in ("p_max_w", "e_max_j", "t_total_s", "tau_max_s", "t_period_s"))
 
 
 def _free_space_db(d):

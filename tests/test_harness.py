@@ -786,8 +786,9 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert c1["objective"] != c2["objective"]
 
 
-# the package, its parser and a validate run leave scipy.optimize unloaded;
-# the first duration LP loads it
+# the package, its parser, a validate run and an optimize run whose budgets
+# never bind leave scipy.optimize unloaded; the first duration LP whose box
+# vertex breaks a budget row loads it
 _LAZY_LP_SCRIPT = """
 import sys
 from swarmsec.harness.cli import build_parser
@@ -795,23 +796,24 @@ from swarmsec.harness.config import load_config
 from swarmsec.harness.experiments import run_experiment
 
 build_parser()
-run_experiment(load_config(sys.argv[1]), "validate", sys.argv[3])
-print("scipy.optimize" in sys.modules)
-run_experiment(load_config(sys.argv[2]), "optimize", sys.argv[3])
-print("scipy.optimize" in sys.modules)
+for experiment, path in zip(["validate", "optimize", "optimize"], sys.argv[1:4]):
+    run_experiment(load_config(path), experiment, sys.argv[4])
+    print("scipy.optimize" in sys.modules)
 """
 
 
 def test_lp_solver_loads_at_the_first_lp(tmp_path):
     # a fresh interpreter: this one may have loaded scipy.optimize already
-    validate_cfg, optimize_cfg = tmp_path / "validate.yaml", tmp_path / "optimize.yaml"
-    save_config(tiny_config(n_slots=1, mc_samples=200), validate_cfg)
-    save_config(tiny_config(), optimize_cfg)
+    configs = [tmp_path / f"{name}.yaml" for name in ("validate", "slack", "tight")]
+    # 2 slots of at most 8 s at 1 W use at most 16 J: only the 5 J budget binds
+    for path, config in zip(configs, [tiny_config(n_slots=1, mc_samples=200),
+                                      tiny_config(), tiny_config(e_max_j=5.0)]):
+        save_config(config, path)
     env = dict(os.environ, PYTHONPATH=str(Path(swarmsec.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", _LAZY_LP_SCRIPT, str(validate_cfg),
-                          str(optimize_cfg), str(tmp_path / "out")],
+    out = subprocess.run([sys.executable, "-c", _LAZY_LP_SCRIPT, *map(str, configs),
+                          str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 # ---------------------------------------------------------------------------

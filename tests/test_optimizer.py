@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linprog
 
 from swarmsec.errors import NumericalError
 from swarmsec.optimizer import (IterationRecord, SolutionTrace, _power_rows,
@@ -357,6 +359,88 @@ def test_duration_lp_matches_vertex_enumeration():
         assert np.all(tau >= -1e-12) and np.all(tau <= budgets.tau_max_s + 1e-9)
         assert np.all(tau @ schedule.p_u <= budgets.e_max_j + 1e-9)
         assert tau.sum() <= budgets.t_total_s + 1e-9
+
+
+def _highs_durations(coeff, schedule, budgets):
+    """The duration LP through HiGHS directly, as ``solve_duration_lp`` poses it."""
+    n = len(coeff)
+    res = linprog(
+        -coeff, A_ub=np.vstack([schedule.p_u.T, np.ones((1, n))]),
+        b_ub=np.concatenate([np.full(schedule.p_u.shape[1], budgets.e_max_j),
+                             [budgets.t_total_s]]),
+        bounds=[(0.0, budgets.tau_max_s)] * n, method="highs-ds")
+    assert res.success
+    return np.clip(res.x, 0.0, budgets.tau_max_s)
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Record the calls ``solve_duration_lp`` makes to HiGHS."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+def test_duration_lp_at_slack_budgets_is_the_box_vertex_of_highs(linprog_calls):
+    # 3 slots of at most 8 s at <= 1 W use at most 24 J and 24 s: no budget
+    # row can bind, so the box vertex is returned without calling HiGHS
+    rng = np.random.default_rng(71)
+    budgets = default_budgets()
+    signs = set()
+    for _ in range(12):
+        slots = []
+        for n in range(3):
+            bob = rng.uniform(0.0, 1000.0, 2)
+            offsets = [(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(100, 200))
+                       for _ in range(2)]
+            # an eavesdropper on top of the user, with more antennas, wins the slot
+            slots.append(make_slot(bob, offsets, bob + (0.0 if n == 1 else 400.0)))
+        scenario = Scenario(env=small_scenario().env, **positions(slots), bob_antennas=2,
+                            eve_antennas=3, noise_w=1e-13, budgets=budgets)
+        u = rng.uniform(0.1, 1.0, (3, 2))
+        schedule = PowerSchedule(u, rng.uniform(0.0, 1.0, (3, 2)) * u)
+        aux = _aux_from(schedule, np.ones(3), scenario)
+        tau = solve_duration_lp(aux, schedule, scenario)
+        assert linprog_calls == []
+
+        coeff = per_slot_secrecy(scenario, schedule, aux) / budgets.t_period_s
+        signs.update(np.sign(coeff))
+        assert tau.tobytes() == _highs_durations(coeff, schedule, budgets).tobytes()
+        oracle = _lp_vertex_oracle(coeff, schedule.p_u, budgets.e_max_j,
+                                   budgets.t_total_s, budgets.tau_max_s)
+        assert float(coeff @ tau) == pytest.approx(oracle, abs=1e-12)
+    assert signs == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("case", ["zero coefficient", "energy row", "time row"])
+def test_duration_lp_calls_highs_unless_the_box_vertex_is_the_unique_optimum(
+        case, linprog_calls):
+    budgets = {"zero coefficient": default_budgets(),
+               "energy row": default_budgets(e_max_j=5.0),
+               "time row": default_budgets(t_total_s=12.0)}[case]
+    scenario = small_scenario(n_uavs=2, n_slots=3, budgets=budgets)
+    schedule = feasible_schedule(scenario, p_u_frac=0.7, p_a_frac=0.1)
+    if case == "zero coefficient":  # a silent slot has a secrecy rate of exactly 0
+        schedule = PowerSchedule(schedule.p_u * [[1], [0], [1]],
+                                 schedule.p_a * [[1], [0], [1]])
+    aux = _aux_from(schedule, np.ones(3), scenario)
+    coeff = per_slot_secrecy(scenario, schedule, aux) / budgets.t_period_s
+    box = np.where(coeff > 0.0, budgets.tau_max_s, 0.0)
+    assert {"zero coefficient": coeff[1] == 0.0 and np.all(coeff[[0, 2]] > 0.0),
+            "energy row": np.any(box @ schedule.p_u > budgets.e_max_j),
+            "time row": box.sum() > budgets.t_total_s}[case]
+
+    tau = solve_duration_lp(aux, schedule, scenario)
+    assert linprog_calls == ["highs-ds"]
+    assert tau.tobytes() == _highs_durations(coeff, schedule, budgets).tobytes()
+    oracle = _lp_vertex_oracle(coeff, schedule.p_u, budgets.e_max_j,
+                               budgets.t_total_s, budgets.tau_max_s)
+    assert float(coeff @ tau) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_duration_lp_single_slot_formula():
