@@ -131,18 +131,38 @@ def derive_seed(seed: int, *key) -> int:
 
 
 def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,
-                       samples: int | None = None) -> np.ndarray:
+                       samples: int | None = None, losses=None) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian fading matrices.
 
     Returns shape (n_antennas, n_tx), or (samples, n_antennas, n_tx) when a
     batch size is given. Real and imaginary parts each carry variance 1/2.
+    With (n_tx,) ``losses``, each transmitter's column is scaled by
+    1/sqrt(loss) as it is drawn: the fading through that path loss (see
+    ``fill_small_scale``).
     """
     if n_antennas < 1 or n_tx < 1:
         raise ValueError("matrix dimensions must be positive")
     shape = (n_antennas, n_tx) if samples is None else (int(samples), n_antennas, n_tx)
-    h = np.empty(shape, dtype=complex)
-    # the same values as sqrt(0.5) * (re + 1j * im), written straight into one
-    # complex array instead of through three complex temporaries
-    h.real = rng.standard_normal(shape) * math.sqrt(0.5)
-    h.imag = rng.standard_normal(shape) * math.sqrt(0.5)
+    return fill_small_scale(rng, np.empty(shape, dtype=complex), losses)
+
+
+def fill_small_scale(rng: np.random.Generator, h: np.ndarray, losses=None) -> np.ndarray:
+    """Draw ``sample_small_scale``'s fading into the complex array h (..., n_tx)
+    in place, all real parts, then all imaginary parts; returns h.
+
+    Each draw is a unit normal times sqrt(1/2), or with (n_tx,) ``losses``
+    times sqrt(1/2) / sqrt(loss) of its transmitter, written straight into h
+    in one pass. Losses must be positive and finite.
+    """
+    scale = math.sqrt(0.5)
+    if losses is not None:
+        losses = np.asarray(losses, dtype=float)
+        if losses.shape != h.shape[-1:]:
+            raise ValueError(f"losses must have shape {h.shape[-1:]}, got {losses.shape}")
+        if not (np.all(np.isfinite(losses)) and np.all(losses > 0.0)):
+            raise ValueError("losses must be positive and finite")
+        scale = scale / np.sqrt(losses)
+    normals = rng.standard_normal(h.shape)
+    np.multiply(normals, scale, out=h.real)
+    np.multiply(rng.standard_normal(out=normals), scale, out=h.imag)
     return h

@@ -202,11 +202,10 @@ def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g[i:, i] = np.einsum("mjl,ml->jm", h[:, i:], h[:, i].conj())
         np.conjugate(g[i + 1:, i], out=g[i, i + 1:])
     off2 = np.empty((n - 1, h.shape[0]))
-    for k in range(n - 1):
+    for k in range(n - 2):
         # column k below the diagonal, x, becomes (beta, 0, ...) with |beta| = |x|
         # under the reflection I - tau v v^H, v = x + e^{i arg x0} |x| e1; where
-        # x has no tail to zero (always at the last column) tau = 0 leaves the
-        # trailing block as it is
+        # x has no tail to zero, tau = 0 leaves the trailing block as it is
         x, rest = g[k + 1:, k], g[k + 1:, k + 1:]
         head2, tail2 = _re_dot(x[:1], x[:1]), _re_dot(x[1:], x[1:])
         off2[k] = head2 + tail2
@@ -224,6 +223,10 @@ def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for j in range(n - k - 1):
             rest[:, j] -= v * q_conj[j]
             rest[:, j] -= q * v_conj[j]
+    if n > 1:
+        # the last column below the diagonal is one entry, with no tail to zero:
+        # its reflection would have tau = 0 on every draw
+        off2[n - 2] = _re_dot(g[n - 1:, n - 2], g[n - 1:, n - 2])
     idx = np.arange(n)
     return g.real[idx, idx], off2
 
@@ -252,9 +255,12 @@ def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
 
     With c = max(p), this is log2 det(I + (c / noise) T), T the tridiagonal
     form of the Gram of H diag(sqrt(p / c)) (columns of zero power dropped).
-    ``reductions`` caches one reduction per power profile p / c and belongs
-    to this one ``h``: equal powers at any level share profile 1, which
-    reduces H itself. An all-zero p gives exactly 0.
+    ``reductions`` caches, per power profile p / c, one reduction and the
+    log-det at each level c already scored, and belongs to this one ``h`` and
+    ``noise``: equal powers at any level share profile 1, which reduces H
+    itself, and a repeated power row runs no second pivot recurrence. The
+    returned array may be the cached one, so it must not be written to. An
+    all-zero p gives exactly 0.
     """
     c = p.max()
     if c == 0.0:
@@ -269,8 +275,11 @@ def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
             on = profile > 0.0
             g = h[..., on]
             g *= np.sqrt(profile[on])
-        reductions[key] = _tridiagonal_gram(g)
-    return _logdet2_tridiagonal(*reductions[key], c, noise)
+        reductions[key] = (_tridiagonal_gram(g), {})
+    reduction, levels = reductions[key]
+    if c not in levels:
+        levels[c] = _logdet2_tridiagonal(*reduction, c, noise)
+    return levels[c]
 
 
 def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,14 +306,14 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     ``samples`` draws of H: one row of shape (L,) gives float estimates, a
     stack arrays over its leading axes. Each log-det is ``_logdet2``'s pivot
     recurrence on a tridiagonal form, reduced once per call and power
-    profile, so equal-power rows at any level share one reduction. Each row
-    gives the same bits alone or in any stack.
+    profile, so equal-power rows at any level share one reduction, and run
+    once per call and power row, so rows that share ``p_den`` share its
+    log-det. Each row gives the same bits alone or in any stack.
     """
     n_antennas = check_count("n_antennas", n_antennas)
     samples = check_count("samples", samples)
     losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
-    h = sample_small_scale(rng, n_antennas, losses.size, samples)
-    h /= np.sqrt(losses)
+    h = sample_small_scale(rng, n_antennas, losses.size, samples, losses)
     reductions = {}
     mean, stderr = [], []
     for total, den in zip((p_num + p_den).reshape(-1, losses.size),

@@ -1,5 +1,6 @@
 """Shared builders: small deterministic scenarios with hand-placed nodes, and
-the quadratic-form log-det oracle of the Monte Carlo estimators."""
+the quadratic-form log-det and tridiagonal-reduction oracles of the Monte
+Carlo estimators."""
 
 import numpy as np
 import pytest
@@ -34,6 +35,42 @@ def logdet2_quadratic(h, p, noise):
     a[:, idx, idx] += 1.0
     _, logabs = np.linalg.slogdet(a)
     return logabs * LOG2E
+
+
+def _re_dot(u, z):
+    """Re(u^H z) per draw for (m, M) arrays with the draws on the last axis."""
+    return np.einsum("im,im->m", u.real, z.real) + np.einsum("im,im->m", u.imag, z.imag)
+
+
+def tridiagonal_gram_reference(h):
+    """Householder tridiagonal form of H H^H for a batch of channels h: (M, n, L),
+    as (diag (n, M), squared off-diagonal moduli (n - 1, M)), by n - 1
+    reflections: the last one, which has no tail to zero, is applied too
+    (with tau = 0, it changes nothing)."""
+    n = h.shape[1]
+    g = np.empty((n, n, h.shape[0]), dtype=complex)
+    for i in range(n):
+        g[i:, i] = np.einsum("mjl,ml->jm", h[:, i:], h[:, i].conj())
+        np.conjugate(g[i + 1:, i], out=g[i, i + 1:])
+    off2 = np.empty((n - 1, h.shape[0]))
+    for k in range(n - 1):
+        x, rest = g[k + 1:, k], g[k + 1:, k + 1:]
+        head2, tail2 = _re_dot(x[:1], x[:1]), _re_dot(x[1:], x[1:])
+        off2[k] = head2 + tail2
+        alpha, head = np.sqrt(off2[k]), np.sqrt(head2)
+        tau = np.divide(1.0, alpha * (alpha + head), out=np.zeros_like(alpha),
+                        where=tail2 > 0.0)
+        v = x.copy()
+        v[0] += np.divide(x[0], head, out=np.ones_like(x[0]), where=head > 0.0) * alpha
+        q = np.einsum("ijm,jm->im", rest, v)
+        q *= tau
+        q -= (0.5 * tau * _re_dot(v, q)) * v
+        q_conj, v_conj = q.conj(), v.conj()
+        for j in range(n - k - 1):
+            rest[:, j] -= v * q_conj[j]
+            rest[:, j] -= q * v_conj[j]
+    idx = np.arange(n)
+    return g.real[idx, idx], off2
 
 
 def default_budgets(p_max_w=1.0, e_max_j=300.0, t_total_s=100.0, tau_max_s=8.0,

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsec.channel import (ENVIRONMENT_PRESETS, EnvironmentParams,
                               dbm_to_watts, environment_preset,
-                              path_loss_db, power_loss_linear,
+                              fill_small_scale, path_loss_db, power_loss_linear,
                               sample_small_scale, substream)
 
 
@@ -201,6 +201,28 @@ def test_small_scale_shapes():
     assert sample_small_scale(rng, 3, 5, samples=11).shape == (11, 3, 5)
     with pytest.raises(ValueError):
         sample_small_scale(rng, 0, 5)
+
+
+def test_loss_scaled_draws_match_draw_then_divide():
+    # each draw scaled once by sqrt(1/2)/sqrt(loss) against the unit draw
+    # divided by sqrt(loss) afterwards, on the same stream: the two round
+    # differently, by at most two ulps of each entry
+    losses = np.array([0.3, 1.0, 1e8, 3.7e9, 2.2e10, 5e11, 7e13])
+    want = sample_small_scale(substream(5, "scaled"), 4, 7, 3000) / np.sqrt(losses)
+    got = sample_small_scale(substream(5, "scaled"), 4, 7, 3000, losses)
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert np.all(np.abs(g - w) <= 4.5e-16 * np.abs(w))
+    # drawn into a block of a larger array, as the null-space baseline stacks
+    # its user's and eavesdropper's rows: the same values, nothing else written
+    h = np.zeros((3000, 6, 7), dtype=complex)
+    fill_small_scale(substream(5, "scaled"), h[:, 1:5], losses)
+    assert np.array_equal(h[:, 1:5], got) and np.all(h[:, [0, 5]] == 0.0)
+    rng = substream(5, "bad")
+    for bad in (np.zeros(7), -losses, np.where(losses > 1.0, losses, np.nan),
+                np.full(7, np.inf), losses[:6], losses[None]):
+        with pytest.raises(ValueError, match="losses"):
+            sample_small_scale(rng, 4, 7, 10, bad)
 
 
 def test_small_scale_statistics():

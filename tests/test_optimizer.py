@@ -291,6 +291,27 @@ def test_power_rows_match_doubling_search_bit_for_bit():
             assert int(np.count_nonzero(got[2])) in binding
 
 
+def test_power_rows_return_crossings():
+    # what both multiplier searches guarantee, whatever float each stops on:
+    # every returned multiplier is a crossing, within budget at lambda and
+    # over it at the float below lambda, or lambda = 0. The bit-for-bit test
+    # above also needs each UAV's energy to be monotone in lambda at float
+    # resolution, which the model does not promise
+    for seed in range(12):
+        beta_b, beta_e, gamma_b, gamma_e, tau = _power_grids(seed)
+
+        def energy(lam):
+            return tau @ _slot_powers(beta_b, beta_e, gamma_b, gamma_e, lam, 1.0)[0]
+
+        free = energy(np.zeros(3))
+        for e_max in (1.5 * free.max(), 0.5 * free.min(), 0.5 * (free.min() + free.max())):
+            for search in (_power_rows, _power_rows_doubling):
+                lam = search(beta_b, beta_e, gamma_b, gamma_e, tau, 1.0, e_max)[2]
+                assert np.all(energy(lam) <= e_max), (seed, e_max, search.__name__)
+                crossing = (energy(np.nextafter(lam, 0.0)) > e_max) | (lam == 0.0)
+                assert np.all(crossing), (seed, e_max, search.__name__)
+
+
 def test_power_multiplier_bound_zeroes_every_slot():
     # the bisection's upper end: at LOG2E * max_n(beta_b + beta_e) no slot
     # transmits, so the bracket starts with a feasible end

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
+from swarmsec import rates
 from swarmsec.channel import sample_small_scale, substream
 from swarmsec.errors import NumericalError
 from swarmsec.harness.baseline import baseline_null_space
@@ -21,7 +22,8 @@ from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_tridiagonal,
                             solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
 
-from conftest import feasible_schedule, logdet2_quadratic, small_scenario
+from conftest import (feasible_schedule, logdet2_quadratic, small_scenario,
+                      tridiagonal_gram_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +384,35 @@ def test_tridiagonal_log_dets_match_gram_eigenvalues():
                 got = _logdet2_tridiagonal(diag, off2, c, noise)
                 assert np.all(np.abs(got - ref) <= 1e-12 * ref + floor)
         assert np.all(_logdet2_tridiagonal(diag, off2, 0.0, 1e-13) == 0.0)
+
+
+def test_tridiagonal_gram_matches_reference_bit_for_bit():
+    # the reduction stops before the last column, whose reflection has no
+    # tail to zero and changes nothing: the same bits as applying it, for one
+    # and two antennas, singular and nearly singular Grams, and exact zeros
+    for h, _ in _oracle_channels():
+        got, want = _tridiagonal_gram(h), tridiagonal_gram_reference(h)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
+    # validate's shape: seven uniform rows at seven signal levels over one
+    # shared artificial-noise row run 7 + 1 recurrences, not 7 + 7
+    calls = []
+    recurrence = rates._logdet2_tridiagonal
+
+    def counted(*args):
+        calls.append(args[2])
+        return recurrence(*args)
+
+    monkeypatch.setattr(rates, "_logdet2_tridiagonal", counted)
+    losses = np.linspace(2.0, 6.0, 7) * 1e10
+    p_num = np.repeat(10.0 ** np.arange(-3.0, 0.5, 0.5)[:, None], 7, axis=1)
+    p_den = np.full((7, 7), 0.01)
+    est = ergodic_rate_mc(losses, p_num, p_den, 1e-13, 5, 200, substream(3, "count"))
+    assert len(calls) == 8 and len(set(calls)) == 8
+    assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
 
 
 def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
