@@ -17,6 +17,10 @@ import numpy as np
 
 LIGHT_SPEED_M_S = 3.0e8
 
+#: fading draws per block of every per-draw pass of the Monte Carlo engine, so
+#: a pass's working set stays in cache; read at call time
+DRAW_BLOCK = 2048
+
 
 def check_real(name: str, value) -> float:
     """A real number as a float; booleans, strings and other types are rejected."""
@@ -146,13 +150,22 @@ def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,
     return fill_small_scale(rng, np.empty(shape, dtype=complex), losses)
 
 
+def draw_blocks(samples: int) -> list[slice]:
+    """Runs of consecutive draws covering ``samples``, ``DRAW_BLOCK`` at most each."""
+    block = DRAW_BLOCK
+    return [slice(i, i + block) for i in range(0, samples, block)]
+
+
 def fill_small_scale(rng: np.random.Generator, h: np.ndarray, losses=None) -> np.ndarray:
     """Draw ``sample_small_scale``'s fading into the complex array h (..., n_tx)
     in place, all real parts, then all imaginary parts; returns h.
 
     Each draw is a unit normal times sqrt(1/2), or with (n_tx,) ``losses``
-    times sqrt(1/2) / sqrt(loss) of its transmitter, written straight into h
-    in one pass. Losses must be positive and finite.
+    times sqrt(1/2) / sqrt(loss) of its transmitter, written straight into h.
+    The normals go through one buffer of at most ``DRAW_BLOCK`` entries of h's
+    first axis (the draws of a batch), block after block: a generator gives
+    the same numbers in consecutive pieces as in one call. Losses must be
+    positive and finite.
     """
     scale = math.sqrt(0.5)
     if losses is not None:
@@ -162,7 +175,9 @@ def fill_small_scale(rng: np.random.Generator, h: np.ndarray, losses=None) -> np
         if not (np.all(np.isfinite(losses)) and np.all(losses > 0.0)):
             raise ValueError("losses must be positive and finite")
         scale = scale / np.sqrt(losses)
-    normals = rng.standard_normal(h.shape)
-    np.multiply(normals, scale, out=h.real)
-    np.multiply(rng.standard_normal(out=normals), scale, out=h.imag)
+    normals = np.empty((min(len(h), DRAW_BLOCK),) + h.shape[1:])
+    for part in (h.real, h.imag):
+        for block in draw_blocks(len(h)):
+            out = part[block]
+            np.multiply(rng.standard_normal(out=normals[:len(out)]), scale, out=out)
     return h

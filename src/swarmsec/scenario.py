@@ -51,7 +51,8 @@ class Scenario:
     (N, L, 3), one row of L members per slot, and the scheduled user
     ``bob_xy`` and the eavesdropper ``eve_xy`` (N, 2) on the ground. The
     per-slot linear power losses toward the user (``loss_bob``) and the
-    eavesdropper (``loss_eve``) are precomputed as (N, L) arrays.
+    eavesdropper (``loss_eve``) are precomputed as (N, L) arrays. The noise
+    power ``noise_w`` is stored as a float.
     """
 
     env: EnvironmentParams
@@ -66,6 +67,9 @@ class Scenario:
     loss_eve: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.env, EnvironmentParams):
+            raise ValueError(f"env must be an EnvironmentParams, "
+                             f"got {type(self.env).__name__}")
         uav, bob, eve = (np.array(getattr(self, name), dtype=float)
                          for name in ("uav_xyz", "bob_xy", "eve_xy"))
         if uav.ndim != 3 or uav.shape[2] != 3 or uav.size == 0:
@@ -81,8 +85,10 @@ class Scenario:
             raise ValueError("every transmitter must be airborne (z > 0)")
         for name in ("bob_antennas", "eve_antennas"):
             check_count(name, getattr(self, name))
-        if not (np.isfinite(self.noise_w) and self.noise_w > 0.0):
-            raise ValueError(f"noise power must be positive, got {self.noise_w}")
+        noise_w = check_real("noise_w", self.noise_w)
+        if not (np.isfinite(noise_w) and noise_w > 0.0):
+            raise ValueError(f"noise power must be positive, got {noise_w}")
+        object.__setattr__(self, "noise_w", noise_w)
 
         loss_bob = np.empty((n_slots, n_uavs))
         loss_eve = np.empty_like(loss_bob)

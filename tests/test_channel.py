@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmsec import channel
 from swarmsec.channel import (ENVIRONMENT_PRESETS, EnvironmentParams,
                               dbm_to_watts, environment_preset,
                               fill_small_scale, path_loss_db, power_loss_linear,
@@ -199,6 +200,7 @@ def test_small_scale_shapes():
     rng = substream(0, "shape")
     assert sample_small_scale(rng, 3, 5).shape == (3, 5)
     assert sample_small_scale(rng, 3, 5, samples=11).shape == (11, 3, 5)
+    assert sample_small_scale(rng, 3, 5, samples=0).shape == (0, 3, 5)
     with pytest.raises(ValueError):
         sample_small_scale(rng, 0, 5)
 
@@ -223,6 +225,26 @@ def test_loss_scaled_draws_match_draw_then_divide():
                 np.full(7, np.inf), losses[:6], losses[None]):
         with pytest.raises(ValueError, match="losses"):
             sample_small_scale(rng, 4, 7, 10, bad)
+
+
+def test_fill_in_draw_blocks_follows_the_stream(monkeypatch):
+    # the stream gives all real parts, then all imaginary parts, whatever the
+    # block size: blocks of 7 and 64 draws (ragged last blocks) and one block
+    # of all 300 draws give the same values, into a strided row block of a
+    # larger array and into a 2-D array, and write nothing else
+    losses = np.array([0.3, 1.0, 1e8, 3.7e9, 2.2e10])
+    for shape in ((300, 4, 5), (9, 5)):
+        re, im = substream(6, "blocks").standard_normal((2,) + shape)
+        for block in (300, 7, 64):
+            monkeypatch.setattr(channel, "DRAW_BLOCK", block)
+            h = np.zeros(shape[:-2] + (shape[-2] + 2, 5), dtype=complex)
+            got = fill_small_scale(substream(6, "blocks"), h[..., 1:-1, :], losses)
+            scale = math.sqrt(0.5) / np.sqrt(losses)
+            assert np.array_equal(got.real, re * scale) and np.array_equal(got.imag, im * scale)
+            assert np.all(h[..., [0, -1], :] == 0.0)
+            got = fill_small_scale(substream(6, "blocks"), np.empty(shape, dtype=complex))
+            scale = math.sqrt(0.5)
+            assert np.array_equal(got.real, re * scale) and np.array_equal(got.imag, im * scale)
 
 
 def test_small_scale_statistics():

@@ -22,9 +22,9 @@ _GOOD = positions([make_slot((0.0, 0.0), [(1.0, 0.0, 120.0), (0.0, 2.0, 150.0)],
 
 
 def _build(**fields):
-    return Scenario(env=environment_preset("urban"),
-                    **{**_GOOD, "bob_antennas": 2, "eve_antennas": 2, **fields},
-                    noise_w=1e-13, budgets=default_budgets())
+    return Scenario(**{"env": environment_preset("urban"), **_GOOD, "bob_antennas": 2,
+                       "eve_antennas": 2, "noise_w": 1e-13, "budgets": default_budgets(),
+                       **fields})
 
 
 def _assert_all_rejected(bad):
@@ -76,6 +76,27 @@ def test_scenario_rejects_non_integer_antennas():
     assert _build(eve_antennas=np.int64(3)).eve_antennas == 3
     _assert_all_rejected([dict(eve_antennas=1.7), dict(bob_antennas=True),
                           dict(bob_antennas=0), dict(eve_antennas="2")])
+
+
+def test_scenario_stores_noise_as_a_float():
+    scenario = _build(noise_w=np.float32(0.5))
+    assert type(scenario.noise_w) is float and scenario.noise_w == 0.5
+
+
+@pytest.mark.parametrize("fields", [dict(noise_w=True), dict(noise_w="1e-13"),
+                                    dict(noise_w=None), dict(noise_w=np.bool_(True))])
+def test_scenario_rejects_boolean_and_non_number_noise(fields):
+    # True would otherwise be stored as 1 W of noise
+    with pytest.raises(ValueError, match="^noise_w must be a real number") as err:
+        _build(**fields)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("env", ["urban", None, {"eta_los_db": 1.0, "eta_nlos_db": 20.0}])
+def test_scenario_rejects_a_non_environment(env):
+    with pytest.raises(ValueError, match="^env must be an EnvironmentParams") as err:
+        _build(env=env)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("fields", [dict(e_max_j="300"), dict(p_max_w=True),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from swarmsec import rates
+from swarmsec import channel, rates
 from swarmsec.channel import sample_small_scale, substream
 from swarmsec.errors import NumericalError
 from swarmsec.harness.baseline import baseline_null_space
@@ -183,7 +184,7 @@ def test_fixed_point_batch_zero_lanes_exactly_zero():
 def test_fixed_point_failure_names_the_worst_lane(monkeypatch):
     # with a zero tolerance no lane can be certified; the error must point at
     # the lane whose residual is largest
-    from swarmsec import rates
+    from swarmsec import channel, rates
 
     p, losses, n, _ = _acceptance_instances(count=20)
     monkeypatch.setattr(rates, "FIXED_POINT_TOL", 0.0)
@@ -446,6 +447,68 @@ def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
     for name in solvers + ("qr",):
         with pytest.raises(AssertionError, match="LAPACK"):
             getattr(np.linalg, name)(np.eye(2))
+
+
+def _in_blocks(monkeypatch, blocks, run):
+    """``run()`` at each draw block size, in the order given."""
+    results = []
+    for block in blocks:
+        monkeypatch.setattr(channel, "DRAW_BLOCK", block)
+        results.append(run())
+    return results
+
+
+def test_mc_draw_blocks_match_one_pass_bit_for_bit(monkeypatch):
+    # a block of all 200 draws is the single-pass oracle; blocks of 7 end in a
+    # block of 4 and blocks of 64 in one of 8. Each draw's reduction depends on
+    # that draw only, so uniform rows, mixed profiles and a zero-power column
+    # give the same bits in any blocks
+    samples, n_tx = 200, 7
+    losses = np.linspace(2.0, 6.0, n_tx) * 1e10
+    levels = 10.0 ** np.arange(-3.0, 0.5, 0.5)[:, None]
+    ramp = np.linspace(0.1, 1.0, n_tx)
+    silent = np.where(np.arange(n_tx) == 2, 0.0, ramp)
+    stacks = [(np.repeat(levels, n_tx, axis=1), np.full((7, n_tx), 0.01)),
+              _mixed_power_rows(n_tx),
+              (levels * silent, 0.5 * levels[::-1] * silent[::-1])]
+    for n_antennas in (1, 5):
+        for p_num, p_den in stacks:
+            want, *got = _in_blocks(monkeypatch, (samples, 7, 64), lambda: ergodic_rate_mc(
+                losses, p_num, p_den, 1e-13, n_antennas, samples, substream(4, "blocks")))
+            for est in got:
+                assert np.array_equal(est.mean, want.mean)
+                assert np.array_equal(est.std_error, want.std_error)
+
+
+def test_baseline_draw_blocks_match_one_pass_bit_for_bit(monkeypatch):
+    # the baseline's QR takes a whole slot at once; its log-dets run in blocks
+    scenario = small_scenario(n_uavs=5, bob_antennas=2, eve_antennas=3)
+    want, *got = _in_blocks(monkeypatch, (200, 7, 64), lambda: baseline_null_space(
+        scenario, np.ones(2), 200, substream(5, "blocks")))
+    assert all(est == want for est in got)
+
+
+def test_mc_memory_is_the_channel_plus_cached_reductions():
+    # a call holds the (M, n, L) channel array, the (diag, off2) arrays of its
+    # one power profile and its log-det levels; every per-draw temporary,
+    # the scaled channel of a non-uniform profile too, is one draw block.
+    # The whole-array passes peaked at 2.4 channel arrays
+    samples, n_antennas, n_tx = 40_000, 5, 7
+    losses = np.linspace(2.0, 6.0, n_tx) * 1e10
+    levels = 10.0 ** np.arange(-3.0, 0.5, 0.5)[:, None]
+    uniform = (np.repeat(levels, n_tx, axis=1), np.full((7, n_tx), 0.01))
+    # rows at power-of-two levels share their profile exactly
+    one_profile = (2.0 ** np.arange(-9.0, -2.0)[:, None] * np.linspace(0.1, 1.0, n_tx),
+                   np.zeros((7, n_tx)))
+    for p_num, p_den in (uniform, one_profile):
+        tracemalloc.start()
+        try:
+            ergodic_rate_mc(losses, p_num, p_den, 1e-13, n_antennas, samples,
+                            substream(0, "memory"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * samples * n_antennas * n_tx * np.dtype(complex).itemsize
 
 
 def test_throughput_mc_schedule_sequence_equals_each_alone():
