@@ -4,7 +4,9 @@ The swarm spends a fixed fraction of its pooled power budget on the
 confidential signal, spread uniformly over the scheduled user's channel row
 space, and the rest on artificial noise spread uniformly over the channel's
 null space, so the user hears no noise at all. Requires instantaneous channel
-knowledge toward the user and more swarm members than user antennas.
+knowledge toward the user and more swarm members than user antennas. The
+split is computed per draw with Householder reflections in plain numpy: no
+SVD, eigensolver or QR factorization runs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import fill_small_scale
-from ..rates import RateEstimate, _check_tau, _logdet2, _weighted_estimate
+from ..rates import RateEstimate, _check_tau, _logdet2, _reflector, _weighted_estimate
 from ..scenario import Scenario, check_count
 
 
@@ -33,6 +35,9 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     noise power ``(1 - phi) * L * p_max`` equally over its null space.
     Negative per-slot secrecy rates are clipped to zero before duration
     weighting.
+
+    Each slot draws the stacked channel [H_b; H_e] into one array with the
+    draws last and scores it with ``_null_space_rates``.
     """
     tau = _check_tau(scenario, tau)
     samples = check_count("samples", samples, minimum=2)
@@ -49,27 +54,50 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
     noise = scenario.noise_w
-    # powers over the columns of T below: the user's row space, then the null space
-    p = np.repeat([c_sig, c_an], [nb, min(n_uavs - nb, ne)])
+    p = np.repeat([c_sig, c_an], [nb, n_uavs - nb])
 
     diffs = np.empty(scenario.n_slots)
     variances = np.empty(scenario.n_slots)
-    h = np.empty((samples, nb + ne, n_uavs), dtype=complex)
+    # the stacked channel [H_b; H_e] with the draws last, and h, one matrix per draw
+    g = np.empty((nb + ne, n_uavs, samples), dtype=complex)
+    h = g.transpose(2, 0, 1)
     for n, stream in enumerate(rng.spawn(scenario.n_slots)):
         # the user's rows, then the eavesdropper's, drawn in that order
         fill_small_scale(stream, h[:, :nb], scenario.loss_bob[n])
         fill_small_scale(stream, h[:, nb:], scenario.loss_eve[n])
-
-        # [H_b; H_e] = T Q^T, T = R^T lower trapezoidal, Q^T's rows orthonormal
-        # and never formed: H_b H_b^H = T_bb T_bb^H, and with P the projection
-        # onto the user's row space, H_e P H_e^H = T_eb T_eb^H carries the
-        # signal and H_e (I - P) H_e^H = T_ee T_ee^H the noise
-        t = np.linalg.qr(h.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-        r_bob = _logdet2(t[:, :nb, :nb], p[:nb], noise)
-        r_eve = _logdet2(t[:, nb:], p, noise) - _logdet2(t[:, nb:, nb:], p[nb:], noise)
-        del t  # freed before the next slot's draws and QR, which lowers peak memory
-
+        r_bob, r_eve = _null_space_rates(g, nb, p, noise)
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
+
+
+def _null_space_rates(g: np.ndarray, nb: int, p: np.ndarray,
+                     noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw rates (r_bob, r_eve) of the null-space scheme for the stacked
+    channel g = [H_b; H_e], (N_B + N_E, L, M) with the draws last, at column
+    powers p: c_sig on the N_B user row-space directions, c_an on the L - N_B
+    null-space ones. Works in place: g is overwritten.
+
+    The user's rate is the log-det of H_b at c_sig. N_B Householder
+    reflections from the right make the user's rows lower triangular,
+    [H_b; H_e] Q = [T_bb, 0; T_eb, T_ee] with Q unitary, so the user's row
+    space is spanned by Q's first N_B columns: H_e P H_e^H = T_eb T_eb^H
+    carries the signal and H_e (I - P) H_e^H = T_ee T_ee^H the noise. The
+    eavesdropper's rate is the log-det of [T_eb, T_ee] at p minus that of
+    T_ee at c_an. Each reflection updates one row at a time, every row
+    operation over all M draws at once, and every log-det is ``_logdet2``'s.
+    """
+    h = g.transpose(2, 0, 1)
+    r_bob = _logdet2(h[:, :nb], p[:nb], noise)
+    for i in range(nb):
+        # row i's tail x goes to (beta, 0, ...) under I - tau conj(v) v^T, v as
+        # ``_reflector`` builds it from x. Only the rows below i are updated,
+        # row -= tau (row . conj(v)) v: the rows above it are zero past
+        # column i, and no user row is read after its own reflection
+        tau, v, _ = _reflector(g[i, i:])
+        v_conj = v.conj()
+        for row in g[i + 1:, i:]:
+            row -= (tau * (row * v_conj).sum(axis=0)) * v
+    eve = h[:, nb:]
+    return r_bob, _logdet2(eve, p, noise) - _logdet2(eve[..., nb:], p[nb:], noise)

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -278,6 +277,10 @@ def _run_convergence(config: ScenarioConfig, jobs: int):
 def _pmap(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: it loads multiprocessing, logging and socket, which a
+    # serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 

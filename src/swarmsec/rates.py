@@ -187,6 +187,22 @@ def _re_dot(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("im,im->m", u.real, z.real) + np.einsum("im,im->m", u.imag, z.imag)
 
 
+def _reflector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder reflection I - tau v v^H per draw for (m, M) vectors x with
+    the draws on the last axis: it takes x to (beta, 0, ...) with |beta| = |x|,
+    v = x + e^{i arg x0} |x| e1. Where x has no tail to zero, tau = 0 leaves
+    everything as it is. Returns (tau, v, |x|^2).
+    """
+    head2, tail2 = _re_dot(x[:1], x[:1]), _re_dot(x[1:], x[1:])
+    norm2 = head2 + tail2
+    alpha, head = np.sqrt(norm2), np.sqrt(head2)
+    tau = np.divide(1.0, alpha * (alpha + head), out=np.zeros_like(alpha),
+                    where=tail2 > 0.0)
+    v = x.copy()
+    v[0] += np.divide(x[0], head, out=np.ones_like(x[0]), where=head > 0.0) * alpha
+    return tau, v, norm2
+
+
 def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Householder tridiagonal form T of H H^H for a batch of channels h: (M, n, L).
 
@@ -203,17 +219,9 @@ def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.conjugate(g[i + 1:, i], out=g[i, i + 1:])
     off2 = np.empty((n - 1, h.shape[0]))
     for k in range(n - 2):
-        # column k below the diagonal, x, becomes (beta, 0, ...) with |beta| = |x|
-        # under the reflection I - tau v v^H, v = x + e^{i arg x0} |x| e1; where
-        # x has no tail to zero, tau = 0 leaves the trailing block as it is
-        x, rest = g[k + 1:, k], g[k + 1:, k + 1:]
-        head2, tail2 = _re_dot(x[:1], x[:1]), _re_dot(x[1:], x[1:])
-        off2[k] = head2 + tail2
-        alpha, head = np.sqrt(off2[k]), np.sqrt(head2)
-        tau = np.divide(1.0, alpha * (alpha + head), out=np.zeros_like(alpha),
-                        where=tail2 > 0.0)
-        v = x.copy()
-        v[0] += np.divide(x[0], head, out=np.ones_like(x[0]), where=head > 0.0) * alpha
+        # column k below the diagonal goes to (beta, 0, ...), |beta|^2 = off2[k]
+        tau, v, off2[k] = _reflector(g[k + 1:, k])
+        rest = g[k + 1:, k + 1:]
         # rest <- (I - tau v v^H) rest (I - tau v v^H) = rest - v q^H - q v^H,
         # with q = w - (tau/2)(v^H w) v, w = tau rest v, and v^H w real
         q = np.einsum("ijm,jm->im", rest, v)

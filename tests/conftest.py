@@ -1,12 +1,12 @@
 """Shared builders: small deterministic scenarios with hand-placed nodes, and
-the quadratic-form log-det and tridiagonal-reduction oracles of the Monte
-Carlo estimators."""
+the quadratic-form log-det, tridiagonal-reduction and QR null-space oracles of
+the Monte Carlo estimators."""
 
 import numpy as np
 import pytest
 
 from swarmsec.channel import environment_preset
-from swarmsec.rates import LOG2E
+from swarmsec.rates import LOG2E, _logdet2
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 
@@ -71,6 +71,23 @@ def tridiagonal_gram_reference(h):
             rest[:, j] -= q * v_conj[j]
     idx = np.arange(n)
     return g.real[idx, idx], off2
+
+
+def null_space_rates_qr(h, nb, c_sig, c_an, noise):
+    """Per-draw (r_bob, r_eve) of the null-space baseline for stacked channels
+    h = [H_b; H_e]: (M, N_B + N_E, L), from one LAPACK QR per draw.
+
+    With [H_b; H_e]^T = QR and T = R^T lower trapezoidal, [H_b; H_e] = T Q^T
+    and Q^T's rows are orthonormal: the user's rate is the log-det of the
+    leading N_B x N_B block of T at c_sig, and the eavesdropper's that of its
+    rows of T at (c_sig, c_an) minus that of their null-space block at c_an.
+    """
+    n_uavs, ne = h.shape[2], h.shape[1] - nb
+    p = np.repeat([c_sig, c_an], [nb, min(n_uavs - nb, ne)])
+    t = np.linalg.qr(h.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    r_bob = _logdet2(t[:, :nb, :nb], p[:nb], noise)
+    r_eve = _logdet2(t[:, nb:], p, noise) - _logdet2(t[:, nb:, nb:], p[nb:], noise)
+    return r_bob, r_eve
 
 
 def default_budgets(p_max_w=1.0, e_max_j=300.0, t_total_s=100.0, tau_max_s=8.0,

@@ -215,11 +215,15 @@ def test_loss_scaled_draws_match_draw_then_divide():
     for part in ("real", "imag"):
         g, w = getattr(got, part), getattr(want, part)
         assert np.all(np.abs(g - w) <= 4.5e-16 * np.abs(w))
-    # drawn into a block of a larger array, as the null-space baseline stacks
-    # its user's and eavesdropper's rows: the same values, nothing else written
+    # drawn into a row block of a larger array, draws first, or draws last
+    # through a transposed view, as the null-space baseline stacks its user's
+    # and eavesdropper's rows: the same values, nothing else written
     h = np.zeros((3000, 6, 7), dtype=complex)
     fill_small_scale(substream(5, "scaled"), h[:, 1:5], losses)
     assert np.array_equal(h[:, 1:5], got) and np.all(h[:, [0, 5]] == 0.0)
+    g = np.zeros((6, 7, 3000), dtype=complex)
+    fill_small_scale(substream(5, "scaled"), g.transpose(2, 0, 1)[:, 1:5], losses)
+    assert np.array_equal(g[1:5].transpose(2, 0, 1), got) and np.all(g[[0, 5]] == 0.0)
     rng = substream(5, "bad")
     for bad in (np.zeros(7), -losses, np.where(losses > 1.0, losses, np.nan),
                 np.full(7, np.inf), losses[:6], losses[None]):

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swarmsec
-from swarmsec.channel import dbm_to_watts, sample_small_scale, substream
+from swarmsec.channel import dbm_to_watts, fill_small_scale, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
-from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
+from swarmsec.harness.baseline import _null_space_rates, baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
@@ -29,7 +29,7 @@ from swarmsec.harness.topology import generate_topology
 from swarmsec.optimizer import audit_feasibility, run_bcd
 from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
 
-from conftest import logdet2_quadratic
+from conftest import logdet2_quadratic, null_space_rates_qr
 
 
 def tiny_config(**overrides):
@@ -376,6 +376,57 @@ def test_baseline_full_signal_matches_independent_estimator():
         diffs.append(max(vals.mean(), 0.0))
     expected = float(np.dot(tau, diffs) / scenario.budgets.t_period_s)
     assert est.mean == pytest.approx(expected, rel=1e-9)
+
+
+def _stacked_draws(n_uavs, nb, ne, samples, seed):
+    """Draws-last stacked channels [H_b; H_e], (N_B + N_E, L, M), drawn as the
+    baseline draws them, at losses of a few 1e10 (about 30 dB at 1 W)."""
+    g = np.empty((nb + ne, n_uavs, samples), dtype=complex)
+    h = g.transpose(2, 0, 1)
+    stream = substream(seed, "split")
+    fill_small_scale(stream, h[:, :nb], np.linspace(2.0, 6.0, n_uavs) * 1e10)
+    fill_small_scale(stream, h[:, nb:], np.linspace(1.0, 3.0, n_uavs) * 1e10)
+    return g
+
+
+def _split_matches_qr(g, nb):
+    """The reflections' per-draw (r_bob, r_eve) on g against the QR oracle on
+    the same draws, at the default power split and 1 W; returns them."""
+    n_uavs, ne = g.shape[1], g.shape[0] - nb
+    c_sig, c_an = n_uavs / (nb + ne), ne * n_uavs / ((nb + ne) * (n_uavs - nb))
+    want = null_space_rates_qr(g.transpose(2, 0, 1).copy(), nb, c_sig, c_an, 1e-13)
+    got = _null_space_rates(g, nb, np.repeat([c_sig, c_an], [nb, n_uavs - nb]), 1e-13)
+    # where the null space is thin (L - N_B < N_E), no form meets 1e-12 per
+    # draw: see test_baseline_matches_svd_covariance_oracle
+    tol = {"rel": 1e-12} if n_uavs - nb >= ne else {"abs": 1e-9}
+    for rate, oracle in zip(got, want):
+        assert rate == pytest.approx(oracle, **tol)
+    return got
+
+
+@pytest.mark.parametrize("n_uavs, nb, ne", [(4, 2, 2), (7, 3, 3), (9, 5, 3), (7, 5, 3),
+                                            (5, 2, 4), (6, 5, 3), (3, 1, 2), (4, 1, 3),
+                                            (3, 1, 3)])
+def test_null_space_split_matches_qr_oracle(n_uavs, nb, ne):
+    _split_matches_qr(_stacked_draws(n_uavs, nb, ne, 500, n_uavs * 10 + nb), nb)
+
+
+def test_null_space_split_handmade_rows_match_qr_oracle():
+    # draw 0: a zero first user row; 1: a user row with no tail, so its
+    # reflection is skipped (tau = 0); 2: lower triangular user rows, so no
+    # reflection runs; 3: zero eavesdropper rows; 4: as drawn. A zero user row
+    # below the first leaves one signal direction to the first reflection's
+    # phase convention, which LAPACK (a real beta) does not share with the
+    # baseline, so the oracle scores another split there
+    nb = 2
+    g = _stacked_draws(6, nb, 3, 5, 1)
+    g[0, :, 0] = 0.0
+    g[0, 1:, 1] = 0.0
+    g[0, 1:, 2] = 0.0
+    g[1, 2:, 2] = 0.0
+    g[nb:, :, 3] = 0.0
+    r_bob, r_eve = _split_matches_qr(g, nb)
+    assert r_eve[3] == 0.0 and r_bob[3] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +839,8 @@ def test_cli_seed_override_changes_output(tmp_path):
 
 # the package, its parser, a validate run and an optimize run whose budgets
 # never bind leave scipy.optimize unloaded; the first duration LP whose box
-# vertex breaks a budget row loads it
+# vertex breaks a budget row loads it. Runs on one process (jobs = 1) never
+# load the process pool
 _LAZY_LP_SCRIPT = """
 import sys
 from swarmsec.harness.cli import build_parser
@@ -799,6 +851,7 @@ build_parser()
 for experiment, path in zip(["validate", "optimize", "optimize"], sys.argv[1:4]):
     run_experiment(load_config(path), experiment, sys.argv[4])
     print("scipy.optimize" in sys.modules)
+print("concurrent.futures.process" in sys.modules)
 """
 
 
@@ -813,7 +866,7 @@ def test_lp_solver_loads_at_the_first_lp(tmp_path):
     out = subprocess.run([sys.executable, "-c", _LAZY_LP_SCRIPT, *map(str, configs),
                           str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "False", "True"]
+    assert out.split() == ["False", "False", "True", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -418,20 +418,20 @@ def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
 
 def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
     # every Monte Carlo log-det, at equal, unequal or zero powers, is read off
-    # a tridiagonal form, and the null-space baseline takes one QR per draw
-    # and nothing else: an eigensolver, SVD or factorization per draw must not
-    # come back unnoticed
+    # a tridiagonal form, and the null-space baseline splits the eavesdropper's
+    # channel with Householder reflections in plain numpy: an eigensolver, SVD,
+    # QR or factorization per draw must not come back unnoticed
     def refuse(*args, **kwargs):
         raise AssertionError("per-draw LAPACK call")
 
-    solvers = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det", "cholesky")
+    solvers = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "slogdet", "det", "cholesky",
+               "qr")
     for name in solvers:
         monkeypatch.setattr(np.linalg, name, refuse)
     scenario = small_scenario(n_uavs=4)
     est = baseline_null_space(scenario, np.ones(2), 200, substream(0, "guard"))
     assert math.isfinite(est.mean) and est.std_error > 0.0
 
-    monkeypatch.setattr(np.linalg, "qr", refuse)
     losses = np.linspace(2.0, 6.0, 7) * 1e10
     levels = 10.0 ** np.arange(-3.0, 1.0)
     p_num = np.concatenate([np.repeat(levels[:, None], 7, axis=1),
@@ -444,7 +444,7 @@ def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
                                substream(n_antennas, "guard"))
         assert zero.mean == 0.0 and zero.std_error == 0.0
     # the guard is live: each patched solver raises
-    for name in solvers + ("qr",):
+    for name in solvers:
         with pytest.raises(AssertionError, match="LAPACK"):
             getattr(np.linalg, name)(np.eye(2))
 
@@ -481,7 +481,8 @@ def test_mc_draw_blocks_match_one_pass_bit_for_bit(monkeypatch):
 
 
 def test_baseline_draw_blocks_match_one_pass_bit_for_bit(monkeypatch):
-    # the baseline's QR takes a whole slot at once; its log-dets run in blocks
+    # the baseline's reflections take a whole slot's draws at once; its fading
+    # draws and log-dets run in blocks
     scenario = small_scenario(n_uavs=5, bob_antennas=2, eve_antennas=3)
     want, *got = _in_blocks(monkeypatch, (200, 7, 64), lambda: baseline_null_space(
         scenario, np.ones(2), 200, substream(5, "blocks")))
@@ -509,6 +510,23 @@ def test_mc_memory_is_the_channel_plus_cached_reductions():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * samples * n_antennas * n_tx * np.dtype(complex).itemsize
+
+
+def test_baseline_memory_is_the_stacked_channel_plus_one_log_det():
+    # a call holds the draws-last stacked channel [H_b; H_e] and, at a time,
+    # one reflection's row temporaries or one log-det's reduction: at the
+    # baseline's 2000 draws (one draw block) and L = 9, N_B = 5, N_E = 3 this
+    # peaked at 1.92 channel arrays, the eavesdropper's scaled copy and Gram on
+    # top of the channel
+    scenario = small_scenario(n_uavs=9, bob_antennas=5, eve_antennas=3)
+    samples = 2000
+    tracemalloc.start()
+    try:
+        baseline_null_space(scenario, np.ones(2), samples, substream(0, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * samples * 8 * 9 * np.dtype(complex).itemsize
 
 
 def test_throughput_mc_schedule_sequence_equals_each_alone():
