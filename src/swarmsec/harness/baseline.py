@@ -79,7 +79,8 @@ def _null_space_rates(g: np.ndarray, nb: int, p: np.ndarray,
     powers p: c_sig on the N_B user row-space directions, c_an on the L - N_B
     null-space ones. Works in place: g is overwritten.
 
-    The user's rate is the log-det of H_b at c_sig. N_B Householder
+    The user's rate is the log-det of H_b at c_sig on every column (its
+    covariance is c_sig H_b H_b^H). N_B Householder
     reflections from the right make the user's rows lower triangular,
     [H_b; H_e] Q = [T_bb, 0; T_eb, T_ee] with Q unitary, so the user's row
     space is spanned by Q's first N_B columns: H_e P H_e^H = T_eb T_eb^H
@@ -89,7 +90,7 @@ def _null_space_rates(g: np.ndarray, nb: int, p: np.ndarray,
     operation over all M draws at once, and every log-det is ``_logdet2``'s.
     """
     h = g.transpose(2, 0, 1)
-    r_bob = _logdet2(h[:, :nb], p[:nb], noise)
+    r_bob = _logdet2(h[:, :nb], np.full(p.size, p[0]), noise)
     for i in range(nb):
         # row i's tail x goes to (beta, 0, ...) under I - tau conj(v) v^T, v as
         # ``_reflector`` builds it from x. Only the rows below i are updated,

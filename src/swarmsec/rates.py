@@ -297,8 +297,12 @@ def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
     itself, and a repeated power row runs no second pivot recurrence. A
     reduction runs block by block of draws (``_reduce``), a pivot recurrence
     over all draws at once. The returned array may be the cached one, so it
-    must not be written to. An all-zero p gives exactly 0.
+    must not be written to. An all-zero p gives exactly 0; a p without one
+    entry per column of h raises ValueError.
     """
+    if p.shape != h.shape[-1:]:
+        raise ValueError(f"powers of shape {p.shape} do not give one entry per "
+                         f"column of h, {h.shape[-1]}")
     c = p.max()
     if c == 0.0:
         return np.zeros(h.shape[0])
@@ -373,23 +377,45 @@ def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
     return _check_tau(scenario, tau)
 
 
-def _lane_stack(scenario: Scenario, schedule: PowerSchedule):
-    """Powers and losses as (4, N, L) stacks and antenna counts as a (4, 1)
-    column, one row per rate term in ``TERMS`` order."""
-    p_u, p_a = schedule.p_u, schedule.p_a
+def _check_schedules(scenario: Scenario, schedules, tau) -> tuple[list, np.ndarray]:
+    """One ``PowerSchedule`` or a nonempty sequence of them, as a list, each
+    of the scenario's shape, and the durations checked against the scenario."""
+    listed = [schedules] if isinstance(schedules, PowerSchedule) else list(schedules)
+    if not listed:
+        raise ValueError("at least one schedule is needed")
+    for schedule in listed:
+        tau = _check_pair(scenario, schedule, tau)
+    return listed, tau
+
+
+def _power_stacks(schedules) -> tuple[np.ndarray, np.ndarray]:
+    """(p_u, p_a) of one schedule, (N, L) each, or of a list of S, (S, N, L) each."""
+    if isinstance(schedules, PowerSchedule):
+        return schedules.p_u, schedules.p_a
+    return np.stack([s.p_u for s in schedules]), np.stack([s.p_a for s in schedules])
+
+
+def _lane_stack(scenario: Scenario, schedules):
+    """Powers and losses as (4, N, L) stacks for one schedule, or (S, 4, N, L)
+    for a list of S, and antenna counts as a (4, 1) column, one row per rate
+    term in ``TERMS`` order."""
+    p_u, p_a = _power_stacks(schedules)
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
-    p = np.stack([p_u, p_a, p_u, p_a])
+    p = np.stack([p_u, p_a, p_u, p_a], axis=-3)
     q = np.stack([scenario.loss_bob, scenario.loss_bob, scenario.loss_eve, scenario.loss_eve])
+    if q.shape != p.shape:
+        q = np.broadcast_to(q, p.shape)
     return p, np.array([[nb], [nb], [ne], [ne]]), q
 
 
 def _secrecy_rate(terms) -> np.ndarray:
-    """Per-slot secrecy rate from a (4, N) stack of rate terms in ``TERMS`` order.
+    """Per-slot secrecy rate from a (..., 4, N) stack of rate terms in ``TERMS``
+    order.
 
     The scheduled user's rate with artificial noise as interference, minus
     the eavesdropper's: (bob_total - bob_an) - (eve_total - eve_an).
     """
-    return terms[0] - terms[1] - terms[2] + terms[3]
+    return terms[..., 0, :] - terms[..., 1, :] - terms[..., 2, :] + terms[..., 3, :]
 
 
 def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.ndarray:
@@ -399,22 +425,30 @@ def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.nda
     return _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
 
 
-def secrecy_throughput_closed_form(scenario: Scenario, schedule: PowerSchedule,
-                                   tau) -> tuple[float, np.ndarray, np.ndarray]:
+def secrecy_throughput_closed_form(scenario: Scenario, schedules, tau):
     """Closed-form average secrecy throughput in bits/s/Hz.
 
-    Solves the 4N fixed points as one batch, forms the per-slot secrecy rate
-    (scheduled user's rate minus the eavesdropper's), and averages weighted by
-    slot durations over the scheduling period. Returns the throughput, the
-    auxiliary minimizers as a (4, N) array in ``TERMS`` order (they depend on
-    the schedule only), and the per-slot secrecy rates before weighting.
+    Solves the 4N fixed points of a schedule as one batch, forms the per-slot
+    secrecy rate (scheduled user's rate minus the eavesdropper's), and
+    averages weighted by slot durations over the scheduling period. For one
+    ``PowerSchedule`` it returns a tuple: the throughput, the auxiliary
+    minimizers as a (4, N) array in ``TERMS`` order (they depend on the
+    schedule only), and the per-slot secrecy rates before weighting. For a
+    sequence of schedules it returns a list of those tuples: the schedules
+    are stacked into one (S, 4, N, L) lane stack scored by one
+    ``solve_fixed_point`` and one ``rate_term`` call, and each tuple has the
+    same bits as that schedule alone.
     """
-    tau = _check_pair(scenario, schedule, tau)
-    p, n, q = _lane_stack(scenario, schedule)
+    single = isinstance(schedules, PowerSchedule)
+    listed, tau = _check_schedules(scenario, schedules, tau)
+    p, n, q = _lane_stack(scenario, schedules if single else listed)
     aux = solve_fixed_point(p, n, q, scenario.noise_w)
-    per_slot = per_slot_secrecy(scenario, schedule, aux)
-    value = float(np.dot(tau, per_slot) / scenario.budgets.t_period_s)
-    return value, aux, per_slot
+    per_slot = _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
+    period = scenario.budgets.t_period_s
+    if single:
+        return float(np.dot(tau, per_slot) / period), aux, per_slot
+    return [(float(np.dot(tau, slots) / period), a, slots)
+            for a, slots in zip(aux, per_slot)]
 
 
 def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
@@ -430,13 +464,8 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
     the same bits as that schedule alone.
     """
     single = isinstance(schedules, PowerSchedule)
-    schedules = [schedules] if single else list(schedules)
-    if not schedules:
-        raise ValueError("at least one schedule is needed")
-    for schedule in schedules:
-        tau = _check_pair(scenario, schedule, tau)
-    p_u = np.stack([s.p_u for s in schedules])
-    p_a = np.stack([s.p_a for s in schedules])
+    schedules, tau = _check_schedules(scenario, schedules, tau)
+    p_u, p_a = _power_stacks(schedules)
     p_s = np.maximum(p_u - p_a, 0.0)
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     noise = scenario.noise_w

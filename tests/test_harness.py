@@ -24,7 +24,7 @@ from swarmsec.harness.baseline import _null_space_rates, baseline_null_space, ba
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
-from swarmsec.harness.experiments import initial_point, run_experiment
+from swarmsec.harness.experiments import _config_sha256, initial_point, run_experiment
 from swarmsec.harness.topology import generate_topology
 from swarmsec.optimizer import audit_feasibility, run_bcd
 from swarmsec.rates import LOG2E, secrecy_throughput_closed_form
@@ -185,6 +185,22 @@ def test_config_list_fields_are_tuples():
     canonical = yaml.safe_dump(config_to_dict(default), sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "103c1a61c04292570ba4ced02384bfdae5d833eb0a07f2bf7e74dc8650b9f284")
+
+
+def test_manifest_hash_dumpers_give_identical_text():
+    # the manifest hashes libyaml's emitter output where PyYAML has it; it must
+    # be the pure-Python SafeDumper's text, which the frozen hashes were made of
+    configs = [ScenarioConfig(),
+               ScenarioConfig(environment="custom", eta_los_db=0.5, eta_nlos_db=25.0),
+               ScenarioConfig(bcd_epsilon=1e-300, e_max_j=1.5e300,
+                              validate_p_s_dbm=[-0.0, 1e-300])]
+    assert config_to_dict(configs[0])["eta_los_db"] is None
+    for cfg in configs:
+        data = config_to_dict(cfg)
+        canonical = yaml.safe_dump(data, sort_keys=True)
+        if hasattr(yaml, "CSafeDumper"):
+            assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == canonical
+        assert _config_sha256(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_config_custom_environment():
@@ -510,6 +526,30 @@ def test_validate_matches_per_point_oracle(tmp_path):
             assert row[c["r_mc_stderr"]] == pytest.approx(stderr, rel=1e-8)
             abs_gap = abs(row[c["r_closed"]] - mean)
             assert row[c["tol_ok"]] == (abs_gap <= 0.05 * max(mean, 0.01) + 2.0 * stderr)
+
+
+def test_validate_solves_one_fixed_point_batch_per_run(tmp_path, monkeypatch):
+    # the whole grid is one closed-form lane stack: one solve_fixed_point call,
+    # whose time each point carries a share of; the first point also carries
+    # the Monte Carlo call, and the column sums to no more than the run
+    from swarmsec import rates
+
+    calls = []
+    solve = rates.solve_fixed_point
+
+    def counted(p, *args):
+        calls.append(p.shape)
+        return solve(p, *args)
+
+    monkeypatch.setattr(rates, "solve_fixed_point", counted)
+    cfg = tiny_config(validate_p_a_dbm=[5.0, 15.0], validate_p_s_dbm=[0.0, 10.0, 20.0],
+                      mc_samples=200)
+    result = run_experiment(cfg, "validate", tmp_path)
+    assert len(result.rows) == 6
+    assert calls == [(6, 4, cfg.n_slots, cfg.n_uavs)]
+    walls = [float(v) for v in _read_csv(tmp_path / "validate.csv")["wall_time_s"]]
+    assert all(w >= 0.0 for w in walls)
+    assert sum(walls) <= result.wall_time_s
 
 
 def test_optimize_experiment(tmp_path):

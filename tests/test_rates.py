@@ -416,6 +416,13 @@ def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
     assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
 
 
+def test_logdet2_needs_one_power_per_column():
+    h = sample_small_scale(substream(1, "shape"), 2, 4, 10, np.full(4, 1e10))
+    with pytest.raises(ValueError):
+        rates._logdet2(h, np.full(2, 0.5), 1e-13)
+    assert rates._logdet2(h, np.full(4, 0.5), 1e-13).shape == (10,)
+
+
 def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
     # every Monte Carlo log-det, at equal, unequal or zero powers, is read off
     # a tridiagonal form, and the null-space baseline splits the eavesdropper's
@@ -564,6 +571,52 @@ def test_throughput_all_noise_is_exactly_zero():
     bob_total, bob_an, eve_total, eve_an = aux
     assert np.array_equal(bob_total, bob_an)
     assert np.array_equal(eve_total, eve_an)
+
+
+def _random_schedules(scenario, rng, count):
+    """Random schedules with zero powers scattered in, plus the edge rows: all
+    zero, no artificial noise, and artificial noise only."""
+    shape = (scenario.n_slots, scenario.n_uavs)
+    schedules = []
+    for _ in range(count):
+        p_u = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) > 0.2)
+        p_a = p_u * rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) > 0.3)
+        schedules.append(PowerSchedule(p_u, p_a))
+    p_u = rng.uniform(0.01, 1.0, shape)
+    return schedules + [PowerSchedule(np.zeros(shape), np.zeros(shape)),
+                        PowerSchedule(p_u, np.zeros(shape)),
+                        PowerSchedule(p_u, p_u)]
+
+
+@pytest.mark.parametrize("n_uavs, n_slots", [(3, 2), (7, 1), (7, 10), (9, 2), (12, 3)])
+def test_closed_form_schedule_sequence_equals_each_alone(n_uavs, n_slots):
+    # one (S, 4, N, L) lane stack for the sequence; each lane stops on its own
+    # test and each sum runs over the last axis, so every tuple has the bits
+    # of its schedule scored alone (from 8 UAVs up the sums are pairwise)
+    rng = np.random.default_rng(100 * n_uavs + n_slots)
+    scenario = small_scenario(n_uavs=n_uavs, n_slots=n_slots, bob_antennas=3,
+                              eve_antennas=2, rng_seed=n_uavs)
+    schedules = _random_schedules(scenario, rng, 9)
+    tau = rng.uniform(0.5, 5.0, n_slots)
+    batch = secrecy_throughput_closed_form(scenario, schedules, tau)
+    assert isinstance(batch, list) and len(batch) == len(schedules)
+    for schedule, (value, aux, per_slot) in zip(schedules, batch):
+        alone = secrecy_throughput_closed_form(scenario, schedule, tau)
+        assert isinstance(alone, tuple) and isinstance(alone[0], float)
+        assert alone[1].shape == (4, n_slots) and alone[2].shape == (n_slots,)
+        assert value == alone[0]
+        assert np.array_equal(aux, alone[1]) and np.array_equal(per_slot, alone[2])
+    assert batch[-3][0] == 0.0 and batch[-1][0] == 0.0  # no signal power
+
+
+def test_closed_form_rejects_an_empty_or_mis_shaped_sequence():
+    scenario = small_scenario()
+    schedule = feasible_schedule(scenario)
+    with pytest.raises(ValueError):
+        secrecy_throughput_closed_form(scenario, [], np.ones(2))
+    bad = PowerSchedule(np.full((3, 2), 0.1), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        secrecy_throughput_closed_form(scenario, [schedule, bad], np.ones(2))
 
 
 def test_throughput_duration_weighting():
