@@ -5,8 +5,9 @@ confidential signal, spread uniformly over the scheduled user's channel row
 space, and the rest on artificial noise spread uniformly over the channel's
 null space, so the user hears no noise at all. Requires instantaneous channel
 knowledge toward the user and more swarm members than user antennas. The
-split is computed per draw with Householder reflections in plain numpy: no
-SVD, eigensolver or QR factorization runs.
+split is computed per draw with Householder reflections in plain numpy, and
+each log-det is one pivot pass on the lower triangle of a Gram: no SVD,
+eigensolver, QR factorization or tridiagonal reduction runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import fill_small_scale
-from ..rates import RateEstimate, _check_tau, _logdet2, _reflector, _weighted_estimate
+from ..rates import (RateEstimate, _check_tau, _gram, _logdet2_pivots, _reflector,
+                     _weighted_estimate)
 from ..scenario import Scenario, check_count
 
 
@@ -53,8 +55,6 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
-    noise = scenario.noise_w
-    p = np.repeat([c_sig, c_an], [nb, n_uavs - nb])
 
     diffs = np.empty(scenario.n_slots)
     variances = np.empty(scenario.n_slots)
@@ -65,32 +65,35 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         # the user's rows, then the eavesdropper's, drawn in that order
         fill_small_scale(stream, h[:, :nb], scenario.loss_bob[n])
         fill_small_scale(stream, h[:, nb:], scenario.loss_eve[n])
-        r_bob, r_eve = _null_space_rates(g, nb, p, noise)
+        r_bob, r_eve = _null_space_rates(g, nb, c_sig, c_an, scenario.noise_w)
         vals = r_bob - r_eve
         diffs[n] = float(vals.mean())
         variances[n] = float(vals.var(ddof=1) / samples)
     return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
 
 
-def _null_space_rates(g: np.ndarray, nb: int, p: np.ndarray,
-                     noise: float) -> tuple[np.ndarray, np.ndarray]:
+def _null_space_rates(g: np.ndarray, nb: int, c_sig: float, c_an: float,
+                      noise: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-draw rates (r_bob, r_eve) of the null-space scheme for the stacked
-    channel g = [H_b; H_e], (N_B + N_E, L, M) with the draws last, at column
-    powers p: c_sig on the N_B user row-space directions, c_an on the L - N_B
-    null-space ones. Works in place: g is overwritten.
+    channel g = [H_b; H_e], (N_B + N_E, L, M) with the draws last, at power
+    c_sig on each of the N_B user row-space directions and c_an on each of
+    the L - N_B null-space ones. Works in place: g is overwritten.
 
-    The user's rate is the log-det of H_b at c_sig on every column (its
-    covariance is c_sig H_b H_b^H). N_B Householder
-    reflections from the right make the user's rows lower triangular,
+    The user's rate is log2 det(I + (c_sig / noise) H_b H_b^H), taken from
+    H_b's Gram before the split. N_B Householder reflections from the right
+    then make the user's rows lower triangular,
     [H_b; H_e] Q = [T_bb, 0; T_eb, T_ee] with Q unitary, so the user's row
     space is spanned by Q's first N_B columns: H_e P H_e^H = T_eb T_eb^H
-    carries the signal and H_e (I - P) H_e^H = T_ee T_ee^H the noise. The
-    eavesdropper's rate is the log-det of [T_eb, T_ee] at p minus that of
-    T_ee at c_an. Each reflection updates one row at a time, every row
-    operation over all M draws at once, and every log-det is ``_logdet2``'s.
+    carries the signal and H_e (I - P) H_e^H = T_ee T_ee^H the noise. With
+    G_eb and G_ee those two Grams, the eavesdropper's rate is the log-det of
+    I + (c_sig G_eb + c_an G_ee) / noise minus that of I + c_an G_ee / noise.
+    Each reflection updates one row at a time, every row operation over all
+    M draws at once. Each log-det is taken at one power level, so it is one
+    pivot pass (``_logdet2_pivots``) on a Gram's lower triangle; at
+    c_sig = 0 the eavesdropper's two Grams are equal and its rate is 0.
     """
     h = g.transpose(2, 0, 1)
-    r_bob = _logdet2(h[:, :nb], np.full(p.size, p[0]), noise)
+    r_bob = _logdet2_pivots(_gram(h[:, :nb]), c_sig / noise)
     for i in range(nb):
         # row i's tail x goes to (beta, 0, ...) under I - tau conj(v) v^T, v as
         # ``_reflector`` builds it from x. Only the rows below i are updated,
@@ -101,4 +104,11 @@ def _null_space_rates(g: np.ndarray, nb: int, p: np.ndarray,
         for row in g[i + 1:, i:]:
             row -= (tau * (row * v_conj).sum(axis=0)) * v
     eve = h[:, nb:]
-    return r_bob, _logdet2(eve, p, noise) - _logdet2(eve[..., nb:], p[nb:], noise)
+    total, an = _gram(eve[..., :nb]), _gram(eve[..., nb:])
+    for i in range(an.shape[0]):
+        # c_sig G_eb + c_an G_ee and c_an G_ee, column by column on and
+        # below the diagonal
+        an[i:, i] *= c_an
+        total[i:, i] *= c_sig
+        total[i:, i] += an[i:, i]
+    return r_bob, _logdet2_pivots(total, 1.0 / noise) - _logdet2_pivots(an, 1.0 / noise)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import platform
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -76,12 +79,32 @@ def _config_sha256(config: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.cache
+def _versions() -> dict:
+    """The python, numpy, scipy and PyYAML versions of this process, and
+    whether libyaml's emitter writes the config hash: a rerun reproduces the
+    CSVs byte for byte only on the same versions. Computed once per process.
+    scipy's version is read from the module where it is loaded and from its
+    installed metadata otherwise, so ``validate`` never imports it.
+    """
+    scipy = sys.modules.get("scipy")
+    if scipy is None:
+        from importlib.metadata import version
+        scipy_version = version("scipy")
+    else:
+        scipy_version = scipy.__version__
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy_version, "pyyaml": yaml.__version__,
+            "libyaml": _YAML_DUMPER is getattr(yaml, "CSafeDumper", None)}
+
+
 def _write_manifest(out_dir: Path, experiment: str, config: ScenarioConfig,
                     files, wall_time_s: float) -> Path:
     manifest = {
         "experiment": experiment,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "package_version": __version__,
+        "versions": _versions(),
         "config_sha256": _config_sha256(config),
         "config": config_to_dict(config),
         "seed": config.seed,

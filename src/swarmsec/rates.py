@@ -99,7 +99,13 @@ def rate_term(p, n_antennas, losses, aux, noise: float):
     leading lane axes. A single lane of shape (L,) gives a float.
     """
     p, losses = _check_term_inputs(p, losses, noise)
-    aux = _check_aux(aux)
+    return _rate_term(p, n_antennas, losses, _check_aux(aux), noise)
+
+
+def _rate_term(p, n_antennas, losses, aux, noise: float):
+    """``rate_term`` on inputs already checked: float (..., L) powers and
+    losses and float aux values, as ``_check_term_inputs`` and
+    ``solve_fixed_point`` return them."""
     n = np.asarray(n_antennas, dtype=float)
     snr = _snr_coefficient(n, losses, aux, noise) * p
     logsum = np.sum(np.log1p(snr), axis=-1) * LOG2E
@@ -203,6 +209,46 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tau, v, norm2
 
 
+def _gram(h: np.ndarray) -> np.ndarray:
+    """Lower triangle of the Gram H H^H for a batch of channels h: (M, n, L),
+    as an (n, n, M) array with the draws last, one column per ``einsum``. The
+    entries above the diagonal are left unset, so only the lower triangle may
+    be read.
+    """
+    n = h.shape[1]
+    g = np.empty((n, n, h.shape[0]), dtype=complex)
+    for i in range(n):
+        g[i:, i] = np.einsum("mjl,ml->jm", h[:, i:], h[:, i].conj())
+    return g
+
+
+def _logdet2_pivots(g: np.ndarray, s: float) -> np.ndarray:
+    """log2 det(I + s G) per draw from the lower triangle of a Gram G, an
+    (n, n, M) array with the draws last as ``_gram`` gives it; G's strict
+    lower triangle is overwritten, and nothing above the diagonal is read.
+
+    One pivot pass (LDL^H, no pivoting): the pivots of I + s G are
+    d_k = 1 + e_k, e_k = s times the k-th diagonal entry of G's Schur
+    complement after k steps, and each step takes column k's outer product,
+    scaled by s / d_k, off the rest. As in ``_logdet2_tridiagonal``, the
+    log-det is the sum of log2 d_k, each taken through log1p; s = 0 gives
+    exactly 0.
+    """
+    n = g.shape[0]
+    diag = g.real[np.arange(n), np.arange(n)]
+    e = s * diag[0]
+    total = np.log1p(e)
+    for k in range(n - 1):
+        col = g[k + 1:, k]
+        r = s / (1.0 + e)
+        diag[k + 1:] -= r * (col.real ** 2 + col.imag ** 2)
+        for j in range(k + 1, n - 1):
+            g[j + 1:, j] -= (r * col[j - k - 1].conj()) * col[j - k:]
+        e = s * diag[k + 1]
+        total += np.log1p(e)
+    return total * LOG2E
+
+
 def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Householder tridiagonal form T of H H^H for a batch of channels h: (M, n, L).
 
@@ -212,10 +258,9 @@ def _tridiagonal_gram(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which is all a log-det of I + s T needs.
     """
     n = h.shape[1]
-    g = np.empty((n, n, h.shape[0]), dtype=complex)
-    for i in range(n):
-        # column i on and below the diagonal, mirrored above it
-        g[i:, i] = np.einsum("mjl,ml->jm", h[:, i:], h[:, i].conj())
+    g = _gram(h)
+    for i in range(n - 1):
+        # mirror column i below the diagonal above it
         np.conjugate(g[i + 1:, i], out=g[i, i + 1:])
     off2 = np.empty((n - 1, h.shape[0]))
     for k in range(n - 2):
@@ -298,7 +343,10 @@ def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
     reduction runs block by block of draws (``_reduce``), a pivot recurrence
     over all draws at once. The returned array may be the cached one, so it
     must not be written to. An all-zero p gives exactly 0; a p without one
-    entry per column of h raises ValueError.
+    entry per column of h raises ValueError. The reduction pays off where one
+    profile is scored at many levels, as in ``ergodic_rate_mc``; a log-det
+    taken at one level, as each of the null-space baseline's, is one pivot
+    pass on a Gram instead (``_logdet2_pivots``).
     """
     if p.shape != h.shape[-1:]:
         raise ValueError(f"powers of shape {p.shape} do not give one entry per "
@@ -436,14 +484,15 @@ def secrecy_throughput_closed_form(scenario: Scenario, schedules, tau):
     schedule only), and the per-slot secrecy rates before weighting. For a
     sequence of schedules it returns a list of those tuples: the schedules
     are stacked into one (S, 4, N, L) lane stack scored by one
-    ``solve_fixed_point`` and one ``rate_term`` call, and each tuple has the
-    same bits as that schedule alone.
+    ``solve_fixed_point`` and one rate-term evaluation, and each tuple has
+    the same bits as that schedule alone. The stack is checked once, by
+    ``solve_fixed_point``.
     """
     single = isinstance(schedules, PowerSchedule)
     listed, tau = _check_schedules(scenario, schedules, tau)
     p, n, q = _lane_stack(scenario, schedules if single else listed)
     aux = solve_fixed_point(p, n, q, scenario.noise_w)
-    per_slot = _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
+    per_slot = _secrecy_rate(_rate_term(p, n, q, aux, scenario.noise_w))
     period = scenario.budgets.t_period_s
     if single:
         return float(np.dot(tau, per_slot) / period), aux, per_slot

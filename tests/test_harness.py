@@ -3,9 +3,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import swarmsec
 from swarmsec.channel import dbm_to_watts, fill_small_scale, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
+from swarmsec.harness import experiments
 from swarmsec.harness.baseline import _null_space_rates, baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
@@ -411,7 +414,7 @@ def _split_matches_qr(g, nb):
     n_uavs, ne = g.shape[1], g.shape[0] - nb
     c_sig, c_an = n_uavs / (nb + ne), ne * n_uavs / ((nb + ne) * (n_uavs - nb))
     want = null_space_rates_qr(g.transpose(2, 0, 1).copy(), nb, c_sig, c_an, 1e-13)
-    got = _null_space_rates(g, nb, np.repeat([c_sig, c_an], [nb, n_uavs - nb]), 1e-13)
+    got = _null_space_rates(g, nb, c_sig, c_an, 1e-13)
     # where the null space is thin (L - N_B < N_E), no form meets 1e-12 per
     # draw: see test_baseline_matches_svd_covariance_oracle
     tol = {"rel": 1e-12} if n_uavs - nb >= ne else {"abs": 1e-9}
@@ -662,6 +665,22 @@ def test_manifest_contents(tmp_path):
     assert manifest["csv_schema_version"] == 1
     # result.files lists the CSVs (recorded in the manifest) plus the manifest
     assert [f.name for f in result.files[:-1]] == manifest["files"]
+    # the versions the determinism contract holds within
+    assert manifest["versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "pyyaml": importlib.metadata.version("PyYAML"),
+        "libyaml": hasattr(yaml, "CSafeDumper")}
+
+
+def test_manifest_versions_read_scipy_without_importing_it(monkeypatch):
+    # scipy's version comes from the loaded module or, where no experiment
+    # has loaded it (validate), from its installed metadata: the same text
+    import scipy  # noqa: F401
+    loaded = experiments._versions.__wrapped__()
+    monkeypatch.delitem(sys.modules, "scipy")
+    assert experiments._versions.__wrapped__() == loaded
+    assert "scipy" not in sys.modules
 
 
 #: each experiment's CSV tables in the order it writes them, primary first

@@ -16,8 +16,8 @@ from swarmsec.errors import NumericalError
 from swarmsec.harness.baseline import baseline_null_space
 from swarmsec.optimizer import (solve_duration_lp, solve_power_subproblem,
                                 throughput_at_aux)
-from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _logdet2_tridiagonal,
-                            _tridiagonal_gram, ergodic_rate_mc,
+from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _gram, _logdet2_pivots,
+                            _logdet2_tridiagonal, _tridiagonal_gram, ergodic_rate_mc,
                             fixed_point_residual, per_slot_secrecy, rate_term,
                             secrecy_throughput_closed_form, secrecy_throughput_mc,
                             solve_fixed_point)
@@ -397,6 +397,56 @@ def test_tridiagonal_gram_matches_reference_bit_for_bit():
             assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def test_gram_pivot_log_dets_match_quadratic_form():
+    # one pivot pass on a Gram's lower triangle against I + s H H^H formed
+    # explicitly and one slogdet per draw, at rel 1e-12 for 1, 2, 3 and 5
+    # antennas and per-transmitter SNRs c/(noise*loss) from 2.5 to 1e6.
+    # Grams of fewer columns than rows are singular: there both forms start
+    # from a Gram whose zero eigenvalues rounding moves by about eps*||G||, so
+    # n*eps*s*trace(G) is added to the bound, and only there. Above the
+    # diagonal sits NaN, which the pass must not read
+    eps = np.finfo(float).eps
+    for n_antennas, n_tx in ((1, 4), (2, 4), (3, 4), (5, 9), (3, 2), (5, 3), (5, 1)):
+        losses = np.linspace(1.0, 4.0, n_tx) * 1e10
+        h = sample_small_scale(substream(10 * n_antennas + n_tx, "pivots"),
+                               n_antennas, n_tx, 500, losses)
+        trace = np.sum(h.real ** 2 + h.imag ** 2, axis=(1, 2))
+        above = np.triu_indices(n_antennas, 1)
+        for c in (1e-2, 1.0, 1e3):
+            s = c / 1e-13
+            g = _gram(h)
+            g[above] = np.nan
+            got = _logdet2_pivots(g, s)
+            ref = logdet2_quadratic(h, np.full(n_tx, c), 1e-13)
+            floor = n_antennas * eps * LOG2E * s * trace if n_antennas > n_tx else 0.0
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref + floor)
+        assert np.all(_logdet2_pivots(_gram(h), 0.0) == 0.0)
+
+
+def test_baseline_runs_no_tridiagonal_reduction(monkeypatch):
+    # each baseline log-det is taken at one power level, so it is one pivot
+    # pass on a Gram: no tridiagonal reduction and no ``_logdet2``, whose
+    # cache pays off only across the levels of one Monte Carlo call
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_tridiagonal_gram", "_logdet2"):
+        monkeypatch.setattr(rates, name, counted(name, getattr(rates, name)))
+    scenario = small_scenario(n_uavs=5, bob_antennas=2, eve_antennas=3)
+    est = baseline_null_space(scenario, np.ones(2), 200, substream(0, "count"))
+    assert math.isfinite(est.mean) and est.std_error > 0.0
+    assert calls == []
+    # the counters are live: the Monte Carlo engine goes through both
+    ergodic_rate_mc(scenario.loss_eve[0], np.full(5, 0.5), np.full(5, 0.1), 1e-13, 3, 200,
+                    substream(0, "count"))
+    assert calls.count("_logdet2") == 2 and calls.count("_tridiagonal_gram") == 1
+
+
 def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
     # validate's shape: seven uniform rows at seven signal levels over one
     # shared artificial-noise row run 7 + 1 recurrences, not 7 + 7
@@ -521,10 +571,10 @@ def test_mc_memory_is_the_channel_plus_cached_reductions():
 
 def test_baseline_memory_is_the_stacked_channel_plus_one_log_det():
     # a call holds the draws-last stacked channel [H_b; H_e] and, at a time,
-    # one reflection's row temporaries or one log-det's reduction: at the
-    # baseline's 2000 draws (one draw block) and L = 9, N_B = 5, N_E = 3 this
-    # peaked at 1.92 channel arrays, the eavesdropper's scaled copy and Gram on
-    # top of the channel
+    # one reflection's row temporaries or the Grams of one log-det pair: at
+    # the baseline's 2000 draws (one draw block) and L = 9, N_B = 5, N_E = 3
+    # this peaked at 1.57 channel arrays: the user's 5 x 5 Gram and the
+    # temporaries of one of its columns on top of the channel
     scenario = small_scenario(n_uavs=9, bob_antennas=5, eve_antennas=3)
     samples = 2000
     tracemalloc.start()
