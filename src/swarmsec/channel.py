@@ -90,17 +90,22 @@ def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
     ``uav`` is an airborne (x, y, z) point and ``ground`` an (x, y) point on
     the ground, in meters. The loss in dB is a function of the slant range d
     and the elevation angle asin(z / d) in degrees; this returns 10**(dB / 10).
+    A link whose range or loss is out of float range raises ValueError.
     """
     x, y, z = uav
     gx, gy = ground
     if z <= 0.0:
         raise ValueError(f"transmitter altitude must be positive, got {z}")
-    d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
-    rho = math.degrees(math.asin(z / d))
     excess_span, a, neg_b, eta_nlos_db, free_space_1m = env._link_constants
-    blended = excess_span / (1.0 + a * math.exp(neg_b * (rho - a)))
-    loss_db = blended + (20.0 * math.log10(d) + free_space_1m) + eta_nlos_db
-    return 10.0 ** (loss_db / 10.0)
+    try:
+        d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
+        rho = math.degrees(math.asin(z / d))
+        blended = excess_span / (1.0 + a * math.exp(neg_b * (rho - a)))
+        loss_db = blended + (20.0 * math.log10(d) + free_space_1m) + eta_nlos_db
+        return 10.0 ** (loss_db / 10.0)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"path loss from transmitter {tuple(uav)} to ground point "
+                         f"{tuple(ground)} is out of float range") from None
 
 
 def path_loss_db(env: EnvironmentParams, uav, ground) -> float:

@@ -306,63 +306,18 @@ def _reduce(h: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """``_tridiagonal_gram`` of H diag(sqrt(profile)), columns of zero profile
     dropped, taken block by block of draws (``draw_blocks``), each block
     scaled on its own; every draw's reduction depends on that draw only.
-
-    A single block is reduced straight into its own result: result arrays
-    allocated beside it cost the null-space baseline (2000 draws, one block)
-    about 1000 more page faults per call.
     """
     on = profile > 0.0
     scale = None if np.all(profile == 1.0) else np.sqrt(profile[on])
-
-    def reduced(g):
+    m, n = h.shape[:2]
+    diag, off2 = np.empty((n, m)), np.empty((n - 1, m))
+    for block in draw_blocks(m):
+        g = h[block]
         if scale is not None:
             g = g[..., on]
             g *= scale
-        return _tridiagonal_gram(g)
-
-    blocks = draw_blocks(len(h))
-    if len(blocks) == 1:
-        return reduced(h)
-    m, n = h.shape[:2]
-    diag, off2 = np.empty((n, m)), np.empty((n - 1, m))
-    for block in blocks:
-        diag[:, block], off2[:, block] = reduced(h[block])
+        diag[:, block], off2[:, block] = _tridiagonal_gram(g)
     return diag, off2
-
-
-def _logdet2(h: np.ndarray, p: np.ndarray, noise: float,
-             reductions: dict | None = None) -> np.ndarray:
-    """log2 det(I + H diag(p) H^H / noise) per draw for a batch of channels h: (M, n, L).
-
-    With c = max(p), this is log2 det(I + (c / noise) T), T the tridiagonal
-    form of the Gram of H diag(sqrt(p / c)) (columns of zero power dropped).
-    ``reductions`` caches, per power profile p / c, one reduction and the
-    log-det at each level c already scored, and belongs to this one ``h`` and
-    ``noise``: equal powers at any level share profile 1, which reduces H
-    itself, and a repeated power row runs no second pivot recurrence. A
-    reduction runs block by block of draws (``_reduce``), a pivot recurrence
-    over all draws at once. The returned array may be the cached one, so it
-    must not be written to. An all-zero p gives exactly 0; a p without one
-    entry per column of h raises ValueError. The reduction pays off where one
-    profile is scored at many levels, as in ``ergodic_rate_mc``; a log-det
-    taken at one level, as each of the null-space baseline's, is one pivot
-    pass on a Gram instead (``_logdet2_pivots``).
-    """
-    if p.shape != h.shape[-1:]:
-        raise ValueError(f"powers of shape {p.shape} do not give one entry per "
-                         f"column of h, {h.shape[-1]}")
-    c = p.max()
-    if c == 0.0:
-        return np.zeros(h.shape[0])
-    profile = p / c
-    reductions = {} if reductions is None else reductions
-    key = profile.tobytes()
-    if key not in reductions:
-        reductions[key] = (_reduce(h, profile), {})
-    reduction, levels = reductions[key]
-    if c not in levels:
-        levels[c] = _logdet2_tridiagonal(*reduction, c, noise)
-    return levels[c]
 
 
 def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,21 +342,37 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     P_num + P_den against the noise floor minus that of P_den. The powers are
     (..., L) stacks of rows, and every row is evaluated on the same
     ``samples`` draws of H: one row of shape (L,) gives float estimates, a
-    stack arrays over its leading axes. Each log-det is ``_logdet2``'s pivot
-    recurrence on a tridiagonal form, reduced once per call and power
-    profile, so equal-power rows at any level share one reduction, and run
-    once per call and power row, so rows that share ``p_den`` share its
-    log-det. Each row gives the same bits alone or in any stack.
+    stack arrays over its leading axes. Each distinct power row p (by its
+    bytes) of the stack's P_num + P_den and P_den rows is scored once: with
+    c = max(p), its log-det is the pivot recurrence
+    (``_logdet2_tridiagonal``) at level c on the tridiagonal form of the Gram
+    of H diag(sqrt(p / c)) (``_reduce``), reduced once per power profile
+    p / c, so equal-power rows at any level share one reduction; an all-zero
+    row's log-det is exactly 0. Each row's rate is then the difference of two
+    of those log-dets, and gives the same bits alone or in any stack.
     """
     n_antennas = check_count("n_antennas", n_antennas)
     samples = check_count("samples", samples)
     losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
     h = sample_small_scale(rng, n_antennas, losses.size, samples, losses)
-    reductions = {}
+    totals = (p_num + p_den).reshape(-1, losses.size)
+    dens = p_den.reshape(-1, losses.size)
+    reductions, logdets = {}, {}
+    for p in np.concatenate([totals, dens]):
+        key, c = p.tobytes(), p.max()
+        if key in logdets:
+            continue
+        if c == 0.0:
+            logdets[key] = np.zeros(samples)
+            continue
+        profile = p / c
+        profile_key = profile.tobytes()
+        if profile_key not in reductions:
+            reductions[profile_key] = _reduce(h, profile)
+        logdets[key] = _logdet2_tridiagonal(*reductions[profile_key], c, noise)
     mean, stderr = [], []
-    for total, den in zip((p_num + p_den).reshape(-1, losses.size),
-                          p_den.reshape(-1, losses.size)):
-        vals = _logdet2(h, total, noise, reductions) - _logdet2(h, den, noise, reductions)
+    for total, den in zip(totals, dens):
+        vals = logdets[total.tobytes()] - logdets[den.tobytes()]
         mean.append(vals.mean())
         stderr.append(vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
     shape = p_den.shape[:-1]

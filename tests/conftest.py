@@ -1,12 +1,12 @@
 """Shared builders: small deterministic scenarios with hand-placed nodes, and
-the quadratic-form log-det, tridiagonal-reduction and QR null-space oracles of
-the Monte Carlo estimators."""
+the quadratic-form and eigenvalue log-det, tridiagonal-reduction and QR
+null-space oracles of the Monte Carlo estimators."""
 
 import numpy as np
 import pytest
 
 from swarmsec.channel import environment_preset
-from swarmsec.rates import LOG2E, _logdet2
+from swarmsec.rates import LOG2E
 from swarmsec.scenario import Budgets, PowerSchedule, Scenario
 
 
@@ -28,13 +28,23 @@ def positions(slots):
 
 def logdet2_quadratic(h, p, noise):
     """log2 det(I + H diag(p) H^H / noise) for a batch of channels h: (M, Nq, L),
-    by forming the matrix and one ``slogdet`` per draw."""
+    by forming the matrix and one ``slogdet`` per draw. The log of the
+    determinant is taken with no log1p, so it keeps its relative accuracy
+    only from SNRs of about 1 up; below that, use ``eigvalsh_logdet2``."""
     nq = h.shape[1]
     a = np.einsum("mil,l,mkl->mik", h, p / noise, h.conj(), optimize=True)
     idx = np.arange(nq)
     a[:, idx, idx] += 1.0
     _, logabs = np.linalg.slogdet(a)
     return logabs * LOG2E
+
+
+def eigvalsh_logdet2(h, s):
+    """log2 det(I + s H H^H) per draw for a batch of channels h: (M, Nq, L),
+    and the eigenvalues of H H^H, by one eigensolve per draw and log1p of
+    each eigenvalue, so small s keeps its relative accuracy."""
+    lam = np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2))
+    return np.sum(np.log1p(lam * s), axis=-1) * LOG2E, lam
 
 
 def _re_dot(u, z):
@@ -75,7 +85,8 @@ def tridiagonal_gram_reference(h):
 
 def null_space_rates_qr(h, nb, c_sig, c_an, noise):
     """Per-draw (r_bob, r_eve) of the null-space baseline for stacked channels
-    h = [H_b; H_e]: (M, N_B + N_E, L), from one LAPACK QR per draw.
+    h = [H_b; H_e]: (M, N_B + N_E, L), from one LAPACK QR and
+    ``eigvalsh_logdet2``'s eigensolves per draw.
 
     With [H_b; H_e]^T = QR and T = R^T lower trapezoidal, [H_b; H_e] = T Q^T
     and Q^T's rows are orthonormal: the user's rate is the log-det of the
@@ -85,9 +96,10 @@ def null_space_rates_qr(h, nb, c_sig, c_an, noise):
     n_uavs, ne = h.shape[2], h.shape[1] - nb
     p = np.repeat([c_sig, c_an], [nb, min(n_uavs - nb, ne)])
     t = np.linalg.qr(h.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    r_bob = _logdet2(t[:, :nb, :nb], p[:nb], noise)
-    r_eve = _logdet2(t[:, nb:], p, noise) - _logdet2(t[:, nb:, nb:], p[nb:], noise)
-    return r_bob, r_eve
+    r_bob, _ = eigvalsh_logdet2(t[:, :nb, :nb], c_sig / noise)
+    total, _ = eigvalsh_logdet2(t[:, nb:] * np.sqrt(p), 1.0 / noise)
+    an, _ = eigvalsh_logdet2(t[:, nb:, nb:], c_an / noise)
+    return r_bob, total - an
 
 
 def default_budgets(p_max_w=1.0, e_max_j=300.0, t_total_s=100.0, tau_max_s=8.0,

@@ -756,6 +756,22 @@ def test_cli_bad_config_values_exit_1(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("raw", [
+    # z / d divides by a zero slant range: z**2 underflows right above the user
+    {"altitude_min_m": 1e-300, "altitude_max_m": 1e-300, "hover_radius_m": 0.0},
+    # the squared ranges overflow
+    {"eve_ring_radius_m": 1e200},
+    {"altitude_min_m": 1e160, "altitude_max_m": 1e160},
+])
+def test_cli_link_out_of_float_range_exits_1(tmp_path, capsys, raw):
+    path = tmp_path / "extreme.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out_dir = tmp_path / "results"
+    assert main(["validate", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    _assert_one_error_line(capsys)
+    assert not out_dir.exists()
+
+
 def test_cli_numerical_error_exits_1(tmp_path, capsys, monkeypatch):
     from swarmsec.errors import NumericalError
     from swarmsec.harness import cli

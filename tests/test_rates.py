@@ -23,8 +23,8 @@ from swarmsec.rates import (FIXED_POINT_TOL, LOG2E, _gram, _logdet2_pivots,
                             solve_fixed_point)
 from swarmsec.scenario import PowerSchedule
 
-from conftest import (feasible_schedule, logdet2_quadratic, small_scenario,
-                      tridiagonal_gram_reference)
+from conftest import (eigvalsh_logdet2, feasible_schedule, logdet2_quadratic,
+                      small_scenario, tridiagonal_gram_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +285,29 @@ def test_mc_input_validation():
 
 
 def _mixed_power_rows(n_tx):
-    """A (2, 4, L) stack of (p_num, p_den) rows: each of the two log-dets of a
-    row has uniform or non-uniform powers, zero powers included."""
+    """A (3, 3, L) stack of (p_num, p_den) rows: each of the two log-dets of a
+    row has uniform or non-uniform powers, zero powers included, and one row
+    repeats another."""
     ramp = 0.125 * np.arange(1, n_tx + 1)  # dyadic: ramp + ramp[::-1] is exactly flat
     flat = np.full(n_tx, 0.25)
     zero = np.zeros(n_tx)
     pairs = [(flat, 0.5 * flat), (ramp, flat), (ramp[::-1], ramp), (ramp, ramp),
-             (zero, flat), (zero, ramp), (flat, zero), (ramp, zero)]
-    p_num, p_den = (np.array(col).reshape(2, 4, n_tx) for col in zip(*pairs))
+             (zero, flat), (zero, ramp), (flat, zero), (ramp, zero), (ramp, flat)]
+    p_num, p_den = (np.array(col).reshape(3, 3, n_tx) for col in zip(*pairs))
     return p_num, p_den
 
 
 def test_mc_batch_equals_rows_alone():
     # every row of a stack gets the bits it gets alone, whether its log-dets
-    # share one tridiagonal reduction with other rows or take their own
+    # share one tridiagonal reduction or one log-det with other rows (a
+    # repeated row shares both) or take their own
     for n_antennas, n_tx in ((3, 4), (5, 3), (1, 1)):
         losses = np.linspace(2.0, 6.0, n_tx) * 1e10
         p_num, p_den = _mixed_power_rows(n_tx)
         batch = ergodic_rate_mc(losses, p_num, p_den, 1e-13, n_antennas, 400,
                                 substream(8, "batch"))
-        assert batch.mean.shape == batch.std_error.shape == (2, 4)
-        for idx in np.ndindex(2, 4):
+        assert batch.mean.shape == batch.std_error.shape == (3, 3)
+        for idx in np.ndindex(3, 3):
             alone = ergodic_rate_mc(losses, p_num[idx], p_den[idx], 1e-13, n_antennas,
                                     400, substream(8, "batch"))
             assert isinstance(alone.mean, float) and isinstance(alone.std_error, float)
@@ -336,13 +338,6 @@ def test_mc_tridiagonal_log_dets_match_quadratic_log_dets():
             assert est.mean[k] == pytest.approx(vals.mean(), rel=1e-12)
             assert est.std_error[k] == pytest.approx(vals.std(ddof=1) / math.sqrt(2000),
                                                      rel=1e-8)
-
-
-def _eigvalsh_logdet2(h, s):
-    """log2 det(I + s H H^H) per draw and the eigenvalues of H H^H, by one
-    eigensolve per draw: the oracle of the tridiagonal pivot recurrence."""
-    lam = np.linalg.eigvalsh(h @ h.conj().swapaxes(-1, -2))
-    return np.sum(np.log1p(lam * s), axis=-1) * LOG2E, lam
 
 
 def _oracle_channels():
@@ -376,7 +371,7 @@ def test_tridiagonal_log_dets_match_gram_eigenvalues():
         diag, off2 = _tridiagonal_gram(h)
         assert diag.shape == (n_antennas, 500) and off2.shape == (n_antennas - 1, 500)
         for s in 10.0 ** np.arange(-6, 7):
-            ref, lam = _eigvalsh_logdet2(h, s)
+            ref, lam = eigvalsh_logdet2(h, s)
             floor = np.zeros_like(ref)
             if deficient:
                 floor = (n_antennas * eps * LOG2E * lam[:, -1]
@@ -398,13 +393,15 @@ def test_tridiagonal_gram_matches_reference_bit_for_bit():
 
 
 def test_gram_pivot_log_dets_match_quadratic_form():
-    # one pivot pass on a Gram's lower triangle against I + s H H^H formed
-    # explicitly and one slogdet per draw, at rel 1e-12 for 1, 2, 3 and 5
-    # antennas and per-transmitter SNRs c/(noise*loss) from 2.5 to 1e6.
-    # Grams of fewer columns than rows are singular: there both forms start
-    # from a Gram whose zero eigenvalues rounding moves by about eps*||G||, so
-    # n*eps*s*trace(G) is added to the bound, and only there. Above the
-    # diagonal sits NaN, which the pass must not read
+    # one pivot pass on a Gram's lower triangle against log1p of the
+    # eigenvalues of H H^H, one eigensolve per draw, at rel 1e-12 for 1, 2, 3
+    # and 5 antennas and per-transmitter SNRs c/(noise*loss) from 2.5e-7 to
+    # 1e6, and from 2.5 up also against I + s H H^H formed explicitly and one
+    # slogdet per draw: that form takes no log1p, and was off by up to 5e-10
+    # relative at the lowest SNR. Grams of fewer columns than rows are singular:
+    # there both forms start from a Gram whose zero eigenvalues rounding moves
+    # by about eps*||G||, so n*eps*s*trace(G) is added to the bound, and only
+    # there. Above the diagonal sits NaN, which the pass must not read
     eps = np.finfo(float).eps
     for n_antennas, n_tx in ((1, 4), (2, 4), (3, 4), (5, 9), (3, 2), (5, 3), (5, 1)):
         losses = np.linspace(1.0, 4.0, n_tx) * 1e10
@@ -412,21 +409,25 @@ def test_gram_pivot_log_dets_match_quadratic_form():
                                n_antennas, n_tx, 500, losses)
         trace = np.sum(h.real ** 2 + h.imag ** 2, axis=(1, 2))
         above = np.triu_indices(n_antennas, 1)
-        for c in (1e-2, 1.0, 1e3):
+        for c in (1e-9, 1e-5, 1e-2, 1.0, 1e3):
             s = c / 1e-13
             g = _gram(h)
             g[above] = np.nan
             got = _logdet2_pivots(g, s)
-            ref = logdet2_quadratic(h, np.full(n_tx, c), 1e-13)
+            oracles = [eigvalsh_logdet2(h, s)[0]]
+            if c >= 1e-2:
+                oracles.append(logdet2_quadratic(h, np.full(n_tx, c), 1e-13))
             floor = n_antennas * eps * LOG2E * s * trace if n_antennas > n_tx else 0.0
-            assert np.all(np.abs(got - ref) <= 1e-12 * ref + floor)
+            for ref in oracles:
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref + floor)
         assert np.all(_logdet2_pivots(_gram(h), 0.0) == 0.0)
 
 
 def test_baseline_runs_no_tridiagonal_reduction(monkeypatch):
     # each baseline log-det is taken at one power level, so it is one pivot
-    # pass on a Gram: no tridiagonal reduction and no ``_logdet2``, whose
-    # cache pays off only across the levels of one Monte Carlo call
+    # pass on a Gram: no tridiagonal reduction and no pivot recurrence on
+    # one, since a reduction pays off only across the levels of one Monte
+    # Carlo call
     calls = []
 
     def counted(name, fn):
@@ -435,7 +436,7 @@ def test_baseline_runs_no_tridiagonal_reduction(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_tridiagonal_gram", "_logdet2"):
+    for name in ("_tridiagonal_gram", "_logdet2_tridiagonal"):
         monkeypatch.setattr(rates, name, counted(name, getattr(rates, name)))
     scenario = small_scenario(n_uavs=5, bob_antennas=2, eve_antennas=3)
     est = baseline_null_space(scenario, np.ones(2), 200, substream(0, "count"))
@@ -444,7 +445,7 @@ def test_baseline_runs_no_tridiagonal_reduction(monkeypatch):
     # the counters are live: the Monte Carlo engine goes through both
     ergodic_rate_mc(scenario.loss_eve[0], np.full(5, 0.5), np.full(5, 0.1), 1e-13, 3, 200,
                     substream(0, "count"))
-    assert calls.count("_logdet2") == 2 and calls.count("_tridiagonal_gram") == 1
+    assert calls.count("_logdet2_tridiagonal") == 2 and calls.count("_tridiagonal_gram") == 1
 
 
 def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
@@ -464,13 +465,6 @@ def test_mc_one_pivot_recurrence_per_power_row(monkeypatch):
     est = ergodic_rate_mc(losses, p_num, p_den, 1e-13, 5, 200, substream(3, "count"))
     assert len(calls) == 8 and len(set(calls)) == 8
     assert np.all(np.isfinite(est.mean)) and np.all(est.mean > 0.0)
-
-
-def test_logdet2_needs_one_power_per_column():
-    h = sample_small_scale(substream(1, "shape"), 2, 4, 10, np.full(4, 1e10))
-    with pytest.raises(ValueError):
-        rates._logdet2(h, np.full(2, 0.5), 1e-13)
-    assert rates._logdet2(h, np.full(4, 0.5), 1e-13).shape == (10,)
 
 
 def test_mc_uniform_rows_call_no_per_draw_solver(monkeypatch):
