@@ -4,6 +4,9 @@ Large-scale loss follows the sigmoid line-of-sight-probability model: the
 LoS/NLoS excess losses are blended by the elevation angle, on top of free-space
 attenuation. Small-scale fading is unit-variance circularly-symmetric complex
 Gaussian, drawn from seeded substreams so every experiment is replayable.
+This lowest layer also holds the input rules: every public entry checks each
+of its inputs once, by ``check_real``, ``check_array`` or ``check_count``, and
+every rejection is a one-line ValueError that names the input.
 """
 
 from __future__ import annotations
@@ -22,11 +25,44 @@ LIGHT_SPEED_M_S = 3.0e8
 DRAW_BLOCK = 2048
 
 
-def check_real(name: str, value) -> float:
-    """A real number as a float; booleans, strings and other types are rejected."""
+def _one_line(value) -> str:
+    """``repr(value)`` with each run of whitespace made one space."""
+    return " ".join(repr(value).split())
+
+
+def check_real(name: str, value, positive: bool = False) -> float:
+    """A real number as a float; booleans, strings and other types are rejected.
+    With ``positive``, it must also be positive and finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+        raise ValueError(f"{name} must be a real number, got {_one_line(value)}")
+    value = float(value)
+    if positive and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_array(name: str, value, positive: bool = False, shape=None) -> np.ndarray:
+    """A float array, finite and nonnegative, or positive with ``positive``, and
+    of the given ``shape`` if one is given."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of real numbers") from None
+    if shape is not None and value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all() or (value <= 0.0 if positive else value < 0.0).any():
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} "
+                         f"and finite")
+    return value
+
+
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """An integer count of at least ``minimum``; floats and booleans are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, "
+                         f"got {_one_line(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,11 +82,9 @@ class EnvironmentParams:
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, check_real(f.name, getattr(self, f.name)))
-        for name in ("a", "b", "carrier_freq_hz"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            value = check_real(f.name, getattr(self, f.name),
+                               positive=f.name in ("a", "b", "carrier_freq_hz"))
+            object.__setattr__(self, f.name, value)
         for name in ("eta_los_db", "eta_nlos_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -149,8 +183,7 @@ def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,
     1/sqrt(loss) as it is drawn: the fading through that path loss (see
     ``fill_small_scale``).
     """
-    if n_antennas < 1 or n_tx < 1:
-        raise ValueError("matrix dimensions must be positive")
+    n_antennas, n_tx = check_count("n_antennas", n_antennas), check_count("n_tx", n_tx)
     shape = (n_antennas, n_tx) if samples is None else (int(samples), n_antennas, n_tx)
     return fill_small_scale(rng, np.empty(shape, dtype=complex), losses)
 
@@ -174,11 +207,7 @@ def fill_small_scale(rng: np.random.Generator, h: np.ndarray, losses=None) -> np
     """
     scale = math.sqrt(0.5)
     if losses is not None:
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != h.shape[-1:]:
-            raise ValueError(f"losses must have shape {h.shape[-1:]}, got {losses.shape}")
-        if not (np.all(np.isfinite(losses)) and np.all(losses > 0.0)):
-            raise ValueError("losses must be positive and finite")
+        losses = check_array("losses", losses, positive=True, shape=h.shape[-1:])
         scale = scale / np.sqrt(losses)
     normals = np.empty((min(len(h), DRAW_BLOCK),) + h.shape[1:])
     for part in (h.real, h.imag):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .channel import power_loss_linear
+from .channel import check_count, check_real, power_loss_linear
 
 
 def worst_case_eve_position(bob_xy, ring_radius: float, uav_xyz, env,
@@ -24,10 +24,8 @@ def worst_case_eve_position(bob_xy, ring_radius: float, uav_xyz, env,
     uavs = np.asarray(uav_xyz, dtype=float).tolist()
     if not uavs:
         raise ValueError("uav_xyz must be non-empty")
-    if not (math.isfinite(ring_radius) and ring_radius > 0.0):
-        raise ValueError(f"ring radius must be positive, got {ring_radius}")
-    if grid_points < 8:
-        raise ValueError(f"grid_points must be at least 8, got {grid_points}")
+    ring_radius = check_real("ring_radius", ring_radius, positive=True)
+    grid_points = check_count("grid_points", grid_points, minimum=8)
 
     bx, by = (float(v) for v in bob_xy)
     thetas = 2.0 * math.pi * np.arange(grid_points) / grid_points

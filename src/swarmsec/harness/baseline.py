@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channel import fill_small_scale
+from ..channel import check_count, check_real, fill_small_scale
 from ..rates import (RateEstimate, _check_tau, _gram, _logdet2_pivots, _reflector,
-                     _weighted_estimate)
-from ..scenario import Scenario, check_count
+                     _tiny_exponent, _weighted_estimate)
+from ..scenario import Scenario
 
 
 def baseline_power_split(bob_antennas: int, eve_antennas: int) -> float:
     """Signal fraction of the pooled power budget: N_B / (N_B + N_E)."""
-    if bob_antennas < 1 or eve_antennas < 1:
-        raise ValueError("antenna counts must be positive")
-    return bob_antennas / (bob_antennas + eve_antennas)
+    nb, ne = check_count("bob_antennas", bob_antennas), check_count("eve_antennas", eve_antennas)
+    return nb / (nb + ne)
 
 
 def baseline_null_space(scenario: Scenario, tau, samples: int,
@@ -47,17 +46,16 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     if n_uavs <= nb:
         raise ValueError("null-space noise needs more swarm members than user antennas")
     phi = baseline_power_split(nb, ne) if signal_fraction is None else signal_fraction
-    if (isinstance(phi, bool) or not isinstance(phi, (int, float, np.integer, np.floating))
-            or not 0.0 <= phi <= 1.0):
-        raise ValueError(f"signal fraction must be a number in [0, 1], got {phi!r}")
-    phi = float(phi)
+    phi = check_real("signal_fraction", phi)
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError(f"signal_fraction must be in [0, 1], got {phi}")
 
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
 
     diffs = np.empty(scenario.n_slots)
-    variances = np.empty(scenario.n_slots)
+    per_draw = np.empty((scenario.n_slots, samples))
     # the stacked channel [H_b; H_e] with the draws last, and h, one matrix per draw
     g = np.empty((nb + ne, n_uavs, samples), dtype=complex)
     h = g.transpose(2, 0, 1)
@@ -66,10 +64,11 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         fill_small_scale(stream, h[:, :nb], scenario.loss_bob[n])
         fill_small_scale(stream, h[:, nb:], scenario.loss_eve[n])
         r_bob, r_eve = _null_space_rates(g, nb, c_sig, c_an, scenario.noise_w)
-        vals = r_bob - r_eve
-        diffs[n] = float(vals.mean())
-        variances[n] = float(vals.var(ddof=1) / samples)
-    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances)
+        per_draw[n] = r_bob - r_eve
+        diffs[n] = float(per_draw[n].mean())
+    k = _tiny_exponent(per_draw)
+    variances = [np.ldexp(vals, k).var(ddof=1) / samples for vals in per_draw]
+    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances, k)
 
 
 def _null_space_rates(g: np.ndarray, nb: int, c_sig: float, c_an: float,

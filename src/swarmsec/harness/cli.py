@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="swarmsec",
         description="Secrecy-throughput experiments for cooperative UAV downlinks.")
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name, help_text in EXPERIMENTS.items():
+    for name, (help_text, _) in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", required=True, help="YAML config file")
         sp.add_argument("--out-dir", default="results", help="output directory (default: results)")

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import yaml
 
-from ..channel import EnvironmentParams, dbm_to_watts, environment_preset
+from ..channel import (EnvironmentParams, check_count, check_real, dbm_to_watts,
+                       environment_preset)
 from ..scenario import Budgets
 
 SWEEPABLE = ("p_max_dbm", "e_max_j", "n_uavs", "environment")
@@ -95,21 +96,15 @@ class ScenarioConfig:
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
         for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas", "mc_samples",
                      "bcd_max_iter", "n_topologies", "replicates"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.baseline_samples < 2:  # its standard error needs two draws
-            raise ValueError("baseline_samples must be an integer of at least 2")
-        if self.eve_grid_points < 8:
-            raise ValueError("eve_grid_points must be at least 8")
-        if not self.bcd_epsilon > 0:
-            raise ValueError("bcd_epsilon must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            check_count(name, getattr(self, name))
+        # the baseline's standard error needs two draws
+        check_count("baseline_samples", self.baseline_samples, minimum=2)
+        check_count("eve_grid_points", self.eve_grid_points, minimum=8)
+        check_count("seed", self.seed, minimum=0)
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
             raise ValueError("altitudes must satisfy 0 < altitude_min_m <= altitude_max_m")
-        for name in ("cell_size_m", "eve_ring_radius_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("bcd_epsilon", "cell_size_m", "eve_ring_radius_m"):
+            check_real(name, getattr(self, name), positive=True)
         if not self.hover_radius_m >= 0:
             raise ValueError("hover_radius_m must be nonnegative")
         for name in _FIELD_TYPES:

@@ -24,23 +24,15 @@ import numpy as np
 import yaml
 
 from .. import __version__
-from ..channel import dbm_to_watts, derive_seed, substream
+from ..channel import check_count, dbm_to_watts, derive_seed, substream
 from ..errors import InfeasibleStartError
 from ..optimizer import audit_feasibility, run_bcd
 from ..rates import secrecy_throughput_closed_form, secrecy_throughput_mc
-from ..scenario import PowerSchedule, Scenario, check_count, uniform_schedule
+from ..scenario import PowerSchedule, Scenario, uniform_schedule
 from .baseline import baseline_null_space
 from .config import ScenarioConfig, config_to_dict
 from .topology import generate_topology
 
-#: each experiment's name and its one-line help
-EXPERIMENTS = {
-    "validate": "compare the closed-form throughput against Monte Carlo",
-    "optimize": "run the block-coordinate optimizer on one topology",
-    "baseline": "compare the optimizer against the null-space benchmark",
-    "sweep": "re-optimize while stepping one config variable",
-    "convergence": "iteration statistics over many random topologies",
-}
 CSV_SCHEMA_VERSION = 1
 #: libyaml's emitter where PyYAML was built with it: the same text as
 #: ``yaml.safe_dump``, several times faster
@@ -151,7 +143,7 @@ def _optimize_once(config: ScenarioConfig, seed: int):
 # ---------------------------------------------------------------------------
 # individual experiments
 
-def _run_validate(config: ScenarioConfig):
+def _run_validate(config: ScenarioConfig, jobs: int):
     """Closed form against Monte Carlo at each grid point. One closed-form
     call scores the whole grid as one lane stack, and one Monte Carlo call
     draws each slot's fading once and scores every point on those draws
@@ -190,7 +182,7 @@ def _run_validate(config: ScenarioConfig):
     return {"validate.csv": (header, rows)}
 
 
-def _run_optimize(config: ScenarioConfig):
+def _run_optimize(config: ScenarioConfig, jobs: int):
     scenario, trace = _optimize_once(config, config.seed)
     header = ["iteration", "objective", "objective_clipped", "max_violation",
               "non_monotone"]
@@ -244,7 +236,7 @@ def _carry_schedule(prev: PowerSchedule, n_uavs: int) -> PowerSchedule:
     return PowerSchedule(np.pad(prev.p_u, pad), np.pad(prev.p_a, pad))
 
 
-def _run_sweep(config: ScenarioConfig):
+def _run_sweep(config: ScenarioConfig, jobs: int):
     """Re-optimize at each sweep value from a cold start and, when ``run_bcd``
     accepts the carried start, from the previous point's solution, keeping the
     best of the two runs and that start (``hold``). Growing budgets keep the
@@ -314,6 +306,18 @@ def _pmap(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
+#: each experiment's name, its one-line help and its driver; every driver
+#: takes the config and the worker count, which only ``baseline`` and
+#: ``convergence`` use
+EXPERIMENTS = {
+    "validate": ("compare the closed-form throughput against Monte Carlo", _run_validate),
+    "optimize": ("run the block-coordinate optimizer on one topology", _run_optimize),
+    "baseline": ("compare the optimizer against the null-space benchmark", _run_baseline),
+    "sweep": ("re-optimize while stepping one config variable", _run_sweep),
+    "convergence": ("iteration statistics over many random topologies", _run_convergence),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -329,16 +333,7 @@ def run_experiment(config: ScenarioConfig, experiment: str, out_dir,
                          f"choose one of {', '.join(EXPERIMENTS)}")
     jobs = check_count("jobs", jobs)
     start = time.perf_counter()
-    if experiment == "validate":
-        tables = _run_validate(config)
-    elif experiment == "optimize":
-        tables = _run_optimize(config)
-    elif experiment == "baseline":
-        tables = _run_baseline(config, jobs)
-    elif experiment == "sweep":
-        tables = _run_sweep(config)
-    else:
-        tables = _run_convergence(config, jobs)
+    tables = EXPERIMENTS[experiment][1](config, jobs)
     wall = time.perf_counter() - start
 
     out_dir = Path(out_dir)

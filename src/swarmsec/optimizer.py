@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import check_count, check_real
 from .errors import InfeasibleStartError, NumericalError
-from .rates import (LOG2E, _check_aux, _check_pair, _lane_stack, _log_slope,
+from .rates import (LOG2E, _check_aux, _check_schedules, _check_tau, _lane_stack, _log_slope,
                     _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
                     solve_fixed_point)
-from .scenario import PowerSchedule, Scenario, check_count
+from .scenario import PowerSchedule, Scenario
 
 #: KKT residual the power block must reach (and is audited against)
 POWER_KKT_TOL = 1e-8
@@ -38,7 +39,7 @@ SCA_MAX_INNER = 200
 # auxiliary-variable blocks
 
 def _solve_aux_rows(schedule: PowerSchedule, tau, scenario: Scenario, rows) -> tuple:
-    _check_pair(scenario, schedule, tau)
+    _check_schedules(scenario, schedule, tau)
     p, n, q = _lane_stack(scenario, schedule)
     return tuple(solve_fixed_point(p[rows], n[rows], q[rows], scenario.noise_w))
 
@@ -67,7 +68,7 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
 
 def throughput_at_aux(scenario: Scenario, schedule: PowerSchedule, tau, aux) -> float:
     """Objective value with the (4, N) aux array held fixed."""
-    tau = _check_pair(scenario, schedule, tau)
+    tau = _check_tau(scenario, tau)
     return float(np.dot(tau, per_slot_secrecy(scenario, schedule, aux))
                  / scenario.budgets.t_period_s)
 
@@ -165,7 +166,7 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
     Slots with zero duration keep their previous powers verbatim. Raises
     NumericalError if the KKT residual audit exceeds ``POWER_KKT_TOL``.
     """
-    tau = _check_pair(scenario, schedule_prev, tau_prev)
+    _, tau = _check_schedules(scenario, schedule_prev, tau_prev)
     b = scenario.budgets
 
     # per-term coefficients and the anchor's slopes, (4, N, L) in TERMS order;
@@ -290,15 +291,17 @@ class SolutionTrace:
 def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
               previous: IterationRecord | None = None,
               power_inner_iters: int = 0) -> IterationRecord:
-    """Audit, score and record one point; ``previous`` is the point it improves on."""
+    """Score, audit and record one point; ``previous`` is the point it improves
+    on. The closed form checks the point's inputs, so a start is checked
+    there and then audited."""
+    objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+    tau = np.array(tau, dtype=float)
+    tau.flags.writeable = False  # read-only like the schedule it is scored with
     max_violation = max(audit_feasibility(scenario, schedule, tau).values())
     if previous is None and max_violation > FEASIBILITY_TOL:
         raise InfeasibleStartError(f"initial point infeasible by {max_violation:.3e}")
-    objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
     clipped = float(np.dot(tau, np.maximum(per_slot, 0.0)) / scenario.budgets.t_period_s)
     non_monotone = previous is not None and not _ascends(previous.objective, objective)
-    tau = np.array(tau, dtype=float)
-    tau.flags.writeable = False  # read-only like the schedule it is scored with
     return IterationRecord(
         objective=objective,
         objective_clipped=clipped,
@@ -354,11 +357,9 @@ def run_bcd(scenario: Scenario, init_schedule: PowerSchedule, init_tau,
     dip, and the stopping rule takes the drop for convergence.
     """
     max_iter = check_count("max_iter", max_iter)
-    if isinstance(epsilon, bool) or not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+    epsilon = check_real("epsilon", epsilon, positive=True)
     eps_floor = 1e-12
-    tau = _check_pair(scenario, init_schedule, init_tau)
-    initial = _evaluate(scenario, init_schedule, tau)
+    initial = _evaluate(scenario, init_schedule, init_tau)
 
     # the aux blocks' exact solution is the fixed points of the current
     # schedule, which the closed form that scored it has already returned

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_blocks, sample_small_scale
+from .channel import check_array, check_count, check_real, draw_blocks, fill_small_scale
 from .errors import NumericalError
-from .scenario import PowerSchedule, Scenario, check_count
+from .scenario import PowerSchedule, Scenario
 
 LOG2E = math.log2(math.e)
 
@@ -44,29 +44,19 @@ class RateEstimate:
 
 
 def _check_term_inputs(p, losses, noise) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    losses = np.asarray(losses, dtype=float)
+    """(..., L) powers and losses of equal shape, and the noise power."""
+    p, losses = check_array("powers", p), check_array("losses", losses, positive=True)
     if p.shape != losses.shape or p.ndim < 1:
         raise ValueError("powers and losses must be arrays of equal shape (..., L)")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise ValueError("powers must be nonnegative and finite")
-    if not np.all(np.isfinite(losses)) or np.any(losses <= 0.0):
-        raise ValueError("losses must be positive and finite")
-    if not (np.isfinite(noise) and noise > 0.0):
-        raise ValueError(f"noise power must be positive, got {noise}")
+    check_real("noise", noise, positive=True)
     return p, losses
 
 
 def _check_aux(aux, scenario: Scenario | None = None) -> np.ndarray:
     """Aux values as floats, nonnegative and finite; with a scenario, also the
     (4, N) array of one value per rate term (rows in ``TERMS`` order) and slot."""
-    aux = np.asarray(aux, dtype=float)
-    if scenario is not None and aux.shape != (len(TERMS), scenario.n_slots):
-        raise ValueError(f"aux must have shape ({len(TERMS)}, {scenario.n_slots}), "
-                         f"got {aux.shape}")
-    if not (np.all(np.isfinite(aux)) and np.all(aux >= 0.0)):
-        raise ValueError(f"aux must be nonnegative and finite, got {aux}")
-    return aux
+    return check_array("aux", aux, shape=None if scenario is None
+                       else (len(TERMS), scenario.n_slots))
 
 
 def _col(v) -> np.ndarray:
@@ -139,7 +129,7 @@ def fixed_point_residual(p, n_antennas, losses, aux, noise: float):
     equation in w = e^aux. Batched like ``rate_term``.
     """
     p, losses = _check_term_inputs(p, losses, noise)
-    value, _ = _residual(p / losses, _col(n_antennas), np.asarray(aux, dtype=float), noise)
+    value, _ = _residual(p / losses, _col(n_antennas), _check_aux(aux), noise)
     return _out(value)
 
 
@@ -320,19 +310,6 @@ def _reduce(h: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return diag, off2
 
 
-def _check_mc_powers(losses, p_num, p_den, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One receiver's (L,) losses and two equal-shape (..., L) power stacks."""
-    losses = np.asarray(losses, dtype=float)
-    p_num, p_den = np.asarray(p_num, dtype=float), np.asarray(p_den, dtype=float)
-    if losses.ndim != 1 or p_num.shape != p_den.shape or p_den.shape[-1:] != losses.shape:
-        raise ValueError("p_num and p_den must be (..., L) stacks of equal shape "
-                         "over the (L,) losses")
-    _check_term_inputs(p_den, np.broadcast_to(losses, p_den.shape), noise)
-    if np.any(p_num < 0.0) or not np.all(np.isfinite(p_num)):
-        raise ValueError("p_num must be nonnegative and finite")
-    return losses, p_num, p_den
-
-
 def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
                     samples: int, rng: np.random.Generator) -> RateEstimate:
     """Monte Carlo ergodic rate of a receiver treating ``p_den`` power as interference.
@@ -353,8 +330,14 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     """
     n_antennas = check_count("n_antennas", n_antennas)
     samples = check_count("samples", samples)
-    losses, p_num, p_den = _check_mc_powers(losses, p_num, p_den, noise)
-    h = sample_small_scale(rng, n_antennas, losses.size, samples, losses)
+    p_num, p_den = check_array("p_num", p_num), check_array("p_den", p_den)
+    losses = np.asarray(losses, dtype=float)  # its values are checked as h is drawn
+    if losses.ndim != 1 or p_num.shape != p_den.shape or p_den.shape[-1:] != losses.shape:
+        raise ValueError("p_num and p_den must be (..., L) stacks of equal shape "
+                         "over the (L,) losses")
+    check_real("noise", noise, positive=True)
+    h = fill_small_scale(rng, np.empty((samples, n_antennas, losses.size), dtype=complex),
+                         losses)
     totals = (p_num + p_den).reshape(-1, losses.size)
     dens = p_den.reshape(-1, losses.size)
     reductions, logdets = {}, {}
@@ -374,37 +357,33 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     for total, den in zip(totals, dens):
         vals = logdets[total.tobytes()] - logdets[den.tobytes()]
         mean.append(vals.mean())
-        stderr.append(vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
+        std = vals.std(ddof=1) if samples > 1 else 0.0
+        if samples > 1 and std < 1e-140:  # its squares may have underflowed
+            k = _tiny_exponent(vals)
+            std = math.ldexp(np.ldexp(vals, k).std(ddof=1), -k)
+        stderr.append(std / math.sqrt(samples))
     shape = p_den.shape[:-1]
     return RateEstimate(mean=_out(np.reshape(mean, shape)),
                         std_error=_out(np.reshape(stderr, shape)))
 
 
 def _check_tau(scenario: Scenario, tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (scenario.n_slots,):
-        raise ValueError(f"tau must have one entry per slot, got shape {tau.shape}")
-    if np.any(tau < 0.0) or not np.all(np.isfinite(tau)):
-        raise ValueError("durations must be nonnegative and finite")
-    return tau
+    """Slot durations: one nonnegative finite float per slot."""
+    return check_array("tau", tau, shape=(scenario.n_slots,))
 
 
-def _check_pair(scenario: Scenario, schedule: PowerSchedule, tau) -> np.ndarray:
-    if schedule.p_u.shape != (scenario.n_slots, scenario.n_uavs):
-        raise ValueError(f"schedule shape {schedule.p_u.shape} does not match the scenario "
-                         f"({scenario.n_slots} slots, {scenario.n_uavs} UAVs)")
-    return _check_tau(scenario, tau)
-
-
-def _check_schedules(scenario: Scenario, schedules, tau) -> tuple[list, np.ndarray]:
+def _check_schedules(scenario: Scenario, schedules, tau=None) -> tuple[list, np.ndarray]:
     """One ``PowerSchedule`` or a nonempty sequence of them, as a list, each
-    of the scenario's shape, and the durations checked against the scenario."""
+    of the scenario's shape, and the durations, if given, checked once
+    against the scenario."""
     listed = [schedules] if isinstance(schedules, PowerSchedule) else list(schedules)
     if not listed:
         raise ValueError("at least one schedule is needed")
     for schedule in listed:
-        tau = _check_pair(scenario, schedule, tau)
-    return listed, tau
+        if schedule.p_u.shape != (scenario.n_slots, scenario.n_uavs):
+            raise ValueError(f"schedule shape {schedule.p_u.shape} does not match the "
+                             f"scenario ({scenario.n_slots} slots, {scenario.n_uavs} UAVs)")
+    return listed, None if tau is None else _check_tau(scenario, tau)
 
 
 def _power_stacks(schedules) -> tuple[np.ndarray, np.ndarray]:
@@ -439,9 +418,11 @@ def _secrecy_rate(terms) -> np.ndarray:
 
 def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.ndarray:
     """Per-slot secrecy rates evaluated at a fixed (4, N) aux array."""
+    _check_schedules(scenario, schedule)
     aux = _check_aux(aux, scenario)
     p, n, q = _lane_stack(scenario, schedule)
-    return _secrecy_rate(rate_term(p, n, q, aux, scenario.noise_w))
+    p, q = _check_term_inputs(p, q, scenario.noise_w)
+    return _secrecy_rate(_rate_term(p, n, q, aux, scenario.noise_w))
 
 
 def secrecy_throughput_closed_form(scenario: Scenario, schedules, tau):
@@ -492,22 +473,33 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
     streams = rng.spawn(2 * scenario.n_slots)
 
     diffs = np.empty((len(schedules), scenario.n_slots))
-    variances = np.empty_like(diffs)
+    errors = np.empty((2,) + diffs.shape)  # the user's and the eavesdropper's
     for i in range(scenario.n_slots):
         bob = ergodic_rate_mc(scenario.loss_bob[i], p_s[:, i], p_a[:, i], noise, nb,
                               samples, streams[2 * i])
         eve = ergodic_rate_mc(scenario.loss_eve[i], p_s[:, i], p_a[:, i], noise, ne,
                               samples, streams[2 * i + 1])
         diffs[:, i] = bob.mean - eve.mean
-        variances[:, i] = bob.std_error ** 2 + eve.std_error ** 2
-    estimates = [_weighted_estimate(scenario, tau, d, v)
-                 for d, v in zip(diffs, variances)]
+        errors[:, :, i] = bob.std_error, eve.std_error
+    k = _tiny_exponent(errors)
+    bob_err, eve_err = np.ldexp(errors, k)
+    estimates = [_weighted_estimate(scenario, tau, d, v, k)
+                 for d, v in zip(diffs, bob_err ** 2 + eve_err ** 2)]
     return estimates[0] if single else estimates
 
 
-def _weighted_estimate(scenario: Scenario, tau, diffs, variances) -> RateEstimate:
+def _tiny_exponent(values) -> int:
+    """k with 2**k * max|values| in [0.5, 1) when max|values| < 1e-150, else 0.
+    Squares of values that small underflow; a power-of-two scaling is exact,
+    so a spread of the scaled values, scaled back, keeps its bits."""
+    peak = float(np.max(np.abs(values)))
+    return -math.frexp(peak)[1] if 0.0 < peak < 1e-150 else 0
+
+
+def _weighted_estimate(scenario: Scenario, tau, diffs, variances, k: int = 0) -> RateEstimate:
     """Per-slot estimates averaged over the period, weighted by the slot durations;
-    the per-slot variances propagate to the standard error."""
+    the per-slot variances, given times 4**k (``_tiny_exponent``), propagate to
+    the standard error."""
     period = scenario.budgets.t_period_s
     return RateEstimate(mean=float(np.dot(tau, diffs) / period),
-                        std_error=float(math.sqrt(np.dot(tau ** 2, variances)) / period))
+                        std_error=math.ldexp(math.sqrt(np.dot(tau ** 2, variances)), -k) / period)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import EnvironmentParams, check_real, power_loss_linear
+from .channel import EnvironmentParams, check_count, check_real, power_loss_linear
 
 
 @dataclass(frozen=True)
@@ -24,23 +24,13 @@ class Budgets:
 
     def __post_init__(self):
         for f in fields(self):
-            v = check_real(f.name, getattr(self, f.name))
-            if not (np.isfinite(v) and v > 0.0):
-                raise ValueError(f"{f.name} must be positive and finite, got {v}")
-            object.__setattr__(self, f.name, v)
+            value = check_real(f.name, getattr(self, f.name), positive=True)
+            object.__setattr__(self, f.name, value)
         if self.tau_max_s > self.t_total_s:
             raise ValueError("per-slot duration cap cannot exceed the total transmission time")
         if self.t_period_s < self.t_total_s:
             raise ValueError("the scheduling period cannot be shorter than the total "
                              "transmission time")
-
-
-def check_count(name: str, value, minimum: int = 1) -> int:
-    """An integer count of at least ``minimum``; floats and booleans are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +75,7 @@ class Scenario:
             raise ValueError("every transmitter must be airborne (z > 0)")
         for name in ("bob_antennas", "eve_antennas"):
             check_count(name, getattr(self, name))
-        noise_w = check_real("noise_w", self.noise_w)
-        if not (np.isfinite(noise_w) and noise_w > 0.0):
-            raise ValueError(f"noise power must be positive, got {noise_w}")
+        noise_w = check_real("noise_w", self.noise_w, positive=True)
         object.__setattr__(self, "noise_w", noise_w)
 
         loss_bob = np.empty((n_slots, n_uavs))

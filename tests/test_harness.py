@@ -772,6 +772,21 @@ def test_cli_link_out_of_float_range_exits_1(tmp_path, capsys, raw):
     assert not out_dir.exists()
 
 
+def test_cli_standard_errors_of_tiny_rates_stay_positive(tmp_path):
+    # at 1e100 m every rate is near 1e-190: the squares of its per-draw values
+    # underflow, and the standard errors came out exactly 0
+    path = tmp_path / "far.yaml"
+    save_config(tiny_config(n_uavs=4, altitude_min_m=1e100, altitude_max_m=1e100,
+                            validate_p_s_dbm=[0.0, 30.0], replicates=1), path)
+    for experiment, flags, column in (("validate", ["--samples", "200"], "r_mc_stderr"),
+                                      ("baseline", [], "baseline_stderr")):
+        out_dir = tmp_path / experiment
+        assert main([experiment, "--config", str(path), "--out-dir", str(out_dir)]
+                    + flags) == 0
+        errors = [float(v) for v in _read_csv(out_dir / f"{experiment}.csv")[column]]
+        assert errors and all(0.0 < e < 1e-150 for e in errors), errors
+
+
 def test_cli_numerical_error_exits_1(tmp_path, capsys, monkeypatch):
     from swarmsec.errors import NumericalError
     from swarmsec.harness import cli

@@ -1,0 +1,81 @@
+"""Input rules: every public entry rejects a bad input with one line naming it."""
+
+import numpy as np
+import pytest
+
+from swarmsec.channel import EnvironmentParams, environment_preset, sample_small_scale, substream
+from swarmsec.geometry import worst_case_eve_position
+from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
+from swarmsec.optimizer import (run_bcd, solve_duration_lp, solve_power_subproblem,
+                                throughput_at_aux)
+from swarmsec.rates import (ergodic_rate_mc, fixed_point_residual, per_slot_secrecy,
+                            rate_term, rate_term_gradient, secrecy_throughput_closed_form,
+                            secrecy_throughput_mc, solve_fixed_point)
+
+from conftest import default_budgets, feasible_schedule, small_scenario
+
+SCENARIO = small_scenario(n_uavs=4)
+SCHEDULE = feasible_schedule(SCENARIO)
+TAU = np.ones(SCENARIO.n_slots)
+AUX = np.ones((4, SCENARIO.n_slots))
+NAN_AUX = np.where(np.eye(4, SCENARIO.n_slots) > 0.0, np.nan, 1.0)
+LANE = ([0.1, 0.2], 2, [1e9, 2e9])  # powers, antennas, losses of one lane
+
+CASES = {
+    # a nan among a (4, N) array's entries: the message printed the array
+    "per_slot_secrecy nan aux": ("aux", lambda: per_slot_secrecy(SCENARIO, SCHEDULE, NAN_AUX)),
+    "throughput_at_aux nan aux": ("aux", lambda: throughput_at_aux(SCENARIO, SCHEDULE, TAU,
+                                                                   NAN_AUX)),
+    "solve_duration_lp nan aux": ("aux", lambda: solve_duration_lp(NAN_AUX, SCHEDULE, SCENARIO)),
+    "solve_power_subproblem aux shape": ("aux", lambda: solve_power_subproblem(
+        AUX[:3], TAU, SCHEDULE, SCENARIO)),
+    "fixed_point_residual negative aux": ("aux", lambda: fixed_point_residual(*LANE, -0.5,
+                                                                              1e-13)),
+    "rate_term string noise": ("noise", lambda: rate_term(*LANE, 0.0, "1e-13")),
+    "rate_term boolean noise": ("noise", lambda: rate_term(*LANE, 0.0, True)),
+    "rate_term_gradient zero noise": ("noise", lambda: rate_term_gradient(*LANE, 0.0, 0.0)),
+    "solve_fixed_point negative powers": ("powers", lambda: solve_fixed_point(
+        [-0.1, 0.2], 2, [1e9, 2e9], 1e-13)),
+    "solve_fixed_point zero loss": ("losses", lambda: solve_fixed_point(
+        [0.1, 0.2], 2, [0.0, 2e9], 1e-13)),
+    "ergodic_rate_mc negative p_num": ("p_num", lambda: ergodic_rate_mc(
+        [1.0], [-1.0], [1.0], 1.0, 1, 10, substream(0, "n"))),
+    "ergodic_rate_mc boolean noise": ("noise", lambda: ergodic_rate_mc(
+        [1.0], [1.0], [1.0], True, 1, 10, substream(0, "n"))),
+    "ergodic_rate_mc zero loss": ("losses", lambda: ergodic_rate_mc(
+        [0.0], [1.0], [1.0], 1.0, 1, 10, substream(0, "n"))),
+    "closed form nan tau": ("tau", lambda: secrecy_throughput_closed_form(
+        SCENARIO, SCHEDULE, [np.nan, 1.0])),
+    "closed form tau shape": ("tau", lambda: secrecy_throughput_closed_form(
+        SCENARIO, [SCHEDULE, SCHEDULE], np.ones(5))),
+    "mc throughput fractional samples": ("samples", lambda: secrecy_throughput_mc(
+        SCENARIO, SCHEDULE, TAU, 2.5, substream(0, "n"))),
+    "run_bcd nan epsilon": ("epsilon", lambda: run_bcd(SCENARIO, SCHEDULE, TAU,
+                                                       epsilon=np.nan)),
+    "run_bcd negative tau": ("tau", lambda: run_bcd(SCENARIO, SCHEDULE, [-1.0, 1.0])),
+    "baseline_power_split fractional count": ("bob_antennas",
+                                              lambda: baseline_power_split(2.5, 3)),
+    "baseline_null_space signal fraction": ("signal_fraction", lambda: baseline_null_space(
+        SCENARIO, TAU, 100, substream(1, "b"), signal_fraction="0.5")),
+    "baseline_null_space tau": ("tau", lambda: baseline_null_space(
+        SCENARIO, [1.0, np.inf], 100, substream(1, "b"))),
+    "sample_small_scale zero antennas": ("n_antennas", lambda: sample_small_scale(
+        substream(0, "s"), 0, 5)),
+    "worst_case_eve_position zero ring": ("ring_radius", lambda: worst_case_eve_position(
+        (0.0, 0.0), 0.0, [(1.0, 0.0, 100.0)], environment_preset("urban"))),
+    "worst_case_eve_position grid": ("grid_points", lambda: worst_case_eve_position(
+        (0.0, 0.0), 100.0, [(1.0, 0.0, 100.0)], environment_preset("urban"), 8.5)),
+    # a 2-D array given for a scalar: its repr runs over several lines
+    "budgets array": ("p_max_w", lambda: default_budgets(p_max_w=np.eye(3))),
+    "environment zero carrier": ("carrier_freq_hz", lambda: EnvironmentParams(
+        eta_los_db=1.0, eta_nlos_db=20.0, carrier_freq_hz=0.0)),
+}
+
+
+@pytest.mark.parametrize("name, call", CASES.values(), ids=list(CASES))
+def test_every_rejection_is_one_line_naming_its_input(name, call):
+    with pytest.raises(ValueError) as err:
+        call()
+    message = str(err.value)
+    assert "\n" not in message
+    assert message.startswith(f"{name} "), message

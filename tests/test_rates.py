@@ -258,6 +258,18 @@ def test_mc_stderr_shrinks_with_samples():
     assert large.std_error == pytest.approx(small.std_error / 4.0, rel=0.2)
 
 
+def test_mc_standard_error_of_tiny_rates_scales_by_powers_of_two():
+    # at an SNR near 1e-40 every step of a log-det is exact to scaling, so the
+    # rates at 2**-600 times the power are the rates at 1 times 2**-600 (near
+    # 1e-220); their squares underflow, and the spread must be taken at scale
+    losses, zero = [1e40, 2e40, 3e40], [0.0, 0.0, 0.0]
+    ref = ergodic_rate_mc(losses, [1.0, 1.0, 1.0], zero, 1.0, 2, 500, substream(3, "tiny"))
+    tiny = ergodic_rate_mc(losses, np.ldexp([1.0, 1.0, 1.0], -600), zero, 1.0, 2, 500,
+                           substream(3, "tiny"))
+    assert tiny.mean == math.ldexp(ref.mean, -600)
+    assert tiny.std_error == math.ldexp(ref.std_error, -600) > 0.0
+
+
 def test_mc_input_validation():
     with pytest.raises(ValueError):
         ergodic_rate_mc([1.0], [1.0], [1.0], 1.0, 1, 0, substream(0, "n"))
