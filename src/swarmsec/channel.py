@@ -43,11 +43,15 @@ def check_real(name: str, value, positive: bool = False) -> float:
 
 def check_array(name: str, value, positive: bool = False, shape=None) -> np.ndarray:
     """A float array, finite and nonnegative, or positive with ``positive``, and
-    of the given ``shape`` if one is given."""
+    of the given ``shape`` if one is given. Only integer and float arrays are
+    converted: booleans, strings, bytes and objects are rejected."""
     try:
-        value = np.asarray(value, dtype=float)
+        value = np.asarray(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of real numbers") from None
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers")
+    value = value.astype(float, copy=False)
     if shape is not None and value.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
     if not np.isfinite(value).all() or (value <= 0.0 if positive else value < 0.0).any():
@@ -138,8 +142,8 @@ def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
         loss_db = blended + (20.0 * math.log10(d) + free_space_1m) + eta_nlos_db
         return 10.0 ** (loss_db / 10.0)
     except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"path loss from transmitter {tuple(uav)} to ground point "
-                         f"{tuple(ground)} is out of float range") from None
+        raise ValueError(f"path loss from transmitter {tuple(map(float, uav))} to ground "
+                         f"point {tuple(map(float, ground))} is out of float range") from None
 
 
 def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
@@ -184,7 +188,8 @@ def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,
     ``fill_small_scale``).
     """
     n_antennas, n_tx = check_count("n_antennas", n_antennas), check_count("n_tx", n_tx)
-    shape = (n_antennas, n_tx) if samples is None else (int(samples), n_antennas, n_tx)
+    shape = ((n_antennas, n_tx) if samples is None
+             else (check_count("samples", samples, minimum=0), n_antennas, n_tx))
     return fill_small_scale(rng, np.empty(shape, dtype=complex), losses)
 
 

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import platform
-import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -76,17 +75,12 @@ def _versions() -> dict:
     """The python, numpy, scipy and PyYAML versions of this process, and
     whether libyaml's emitter writes the config hash: a rerun reproduces the
     CSVs byte for byte only on the same versions. Computed once per process.
-    scipy's version is read from the module where it is loaded and from its
-    installed metadata otherwise, so ``validate`` never imports it.
+    scipy is imported here if no duration LP has loaded it: the bare package,
+    not ``scipy.optimize``, so ``validate`` still never loads the LP solver.
     """
-    scipy = sys.modules.get("scipy")
-    if scipy is None:
-        from importlib.metadata import version
-        scipy_version = version("scipy")
-    else:
-        scipy_version = scipy.__version__
+    import scipy
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy_version, "pyyaml": yaml.__version__,
+            "scipy": scipy.__version__, "pyyaml": yaml.__version__,
             "libyaml": _YAML_DUMPER is getattr(yaml, "CSafeDumper", None)}
 
 

@@ -20,8 +20,7 @@ import numpy as np
 from .channel import check_count, check_real
 from .errors import InfeasibleStartError, NumericalError
 from .rates import (LOG2E, _check_aux, _check_schedules, _check_tau, _lane_stack, _log_slope,
-                    _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form,
-                    solve_fixed_point)
+                    _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form)
 from .scenario import PowerSchedule, Scenario
 
 #: KKT residual the power block must reach (and is audited against)
@@ -38,19 +37,15 @@ SCA_MAX_INNER = 200
 # ---------------------------------------------------------------------------
 # auxiliary-variable blocks
 
-def _solve_aux_rows(schedule: PowerSchedule, tau, scenario: Scenario, rows) -> tuple:
-    _check_schedules(scenario, schedule, tau)
-    p, n, q = _lane_stack(scenario, schedule)
-    return tuple(solve_fixed_point(p[rows], n[rows], q[rows], scenario.noise_w))
-
-
 def solve_aux_block_min(schedule: PowerSchedule, tau, scenario: Scenario):
     """Auxiliary minimizers for the rate terms entering the objective with + sign.
 
-    Returns (bob_total, eve_an), each length N. Slots with zero duration are
+    Returns (bob_total, eve_an), each length N: rows of the aux array that
+    ``secrecy_throughput_closed_form`` returns. Slots with zero duration are
     still solved; the later blocks may re-activate them.
     """
-    return _solve_aux_rows(schedule, tau, scenario, [0, 3])
+    aux = secrecy_throughput_closed_form(scenario, schedule, tau)[1]
+    return aux[0], aux[3]
 
 
 def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
@@ -58,9 +53,10 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
 
     These maximize the objective over their block, which reduces to minimizing
     each negated rate term, i.e. the same per-slot fixed points. Returns
-    (bob_an, eve_total).
+    (bob_an, eve_total), rows of the closed form's aux array.
     """
-    return _solve_aux_rows(schedule, tau, scenario, [1, 2])
+    aux = secrecy_throughput_closed_form(scenario, schedule, tau)[1]
+    return aux[1], aux[2]
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_power_loss_linear_equals_the_two_step_formula_bit_for_bit():
             assert power_loss_linear(env, uav, ground) == _two_step_power_loss(env, uav, ground)
 
 
+def test_power_loss_linear_names_a_numpy_link_in_plain_floats():
+    # the squared range fits a float, the loss 10**310 does not
+    uav, ground = (0.0, 0.0, 1e153), (0.0, 0.0)
+    with pytest.raises(ValueError) as err:
+        power_loss_linear(environment_preset("urban"), np.array(uav), np.array(ground))
+    assert str(err.value) == (f"path loss from transmitter {uav} to ground point {ground} "
+                              f"is out of float range")
+
+
 def test_environment_params_validation():
     with pytest.raises(ValueError):
         EnvironmentParams(eta_los_db=1.0, eta_nlos_db=20.0, a=-1.0)

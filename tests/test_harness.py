@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import swarmsec
 from swarmsec.channel import dbm_to_watts, fill_small_scale, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
-from swarmsec.harness import experiments
 from swarmsec.harness.baseline import _null_space_rates, baseline_null_space, baseline_power_split
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
@@ -673,14 +672,29 @@ def test_manifest_contents(tmp_path):
         "libyaml": hasattr(yaml, "CSafeDumper")}
 
 
-def test_manifest_versions_read_scipy_without_importing_it(monkeypatch):
-    # scipy's version comes from the loaded module or, where no experiment
-    # has loaded it (validate), from its installed metadata: the same text
-    import scipy  # noqa: F401
-    loaded = experiments._versions.__wrapped__()
-    monkeypatch.delitem(sys.modules, "scipy")
-    assert experiments._versions.__wrapped__() == loaded
-    assert "scipy" not in sys.modules
+_VALIDATE_VERSIONS_SCRIPT = """
+import json, sys
+from swarmsec.harness.config import load_config
+from swarmsec.harness.experiments import run_experiment
+
+result = run_experiment(load_config(sys.argv[1]), "validate", sys.argv[2])
+print(json.loads(result.files[-1].read_text())["versions"]["scipy"])
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_validate_manifest_reads_scipy_version_without_the_lp_solver(tmp_path):
+    # a fresh interpreter: validate loads no duration LP, so the manifest
+    # imports the bare scipy package for its version, never scipy.optimize
+    import scipy
+
+    path = tmp_path / "validate.yaml"
+    save_config(tiny_config(n_slots=1, mc_samples=200), path)
+    env = dict(os.environ, PYTHONPATH=str(Path(swarmsec.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _VALIDATE_VERSIONS_SCRIPT, str(path),
+                          str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [scipy.__version__, "False"]
 
 
 #: each experiment's CSV tables in the order it writes them, primary first

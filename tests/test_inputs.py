@@ -33,6 +33,11 @@ CASES = {
                                                                               1e-13)),
     "rate_term string noise": ("noise", lambda: rate_term(*LANE, 0.0, "1e-13")),
     "rate_term boolean noise": ("noise", lambda: rate_term(*LANE, 0.0, True)),
+    # a string or boolean array converted to numbers gave a rate
+    "rate_term string powers": ("powers", lambda: rate_term(["0.1", "0.2"], *LANE[1:], 0.0,
+                                                            1e-13)),
+    "rate_term boolean powers": ("powers", lambda: rate_term([True, False], *LANE[1:], 0.0,
+                                                             1e-13)),
     "rate_term_gradient zero noise": ("noise", lambda: rate_term_gradient(*LANE, 0.0, 0.0)),
     "solve_fixed_point negative powers": ("powers", lambda: solve_fixed_point(
         [-0.1, 0.2], 2, [1e9, 2e9], 1e-13)),
@@ -61,6 +66,11 @@ CASES = {
         SCENARIO, [1.0, np.inf], 100, substream(1, "b"))),
     "sample_small_scale zero antennas": ("n_antennas", lambda: sample_small_scale(
         substream(0, "s"), 0, 5)),
+    # 2.5 drew int(2.5) = 2 samples
+    "sample_small_scale fractional samples": ("samples", lambda: sample_small_scale(
+        substream(0, "s"), 2, 3, 2.5)),
+    "sample_small_scale boolean samples": ("samples", lambda: sample_small_scale(
+        substream(0, "s"), 2, 3, True)),
     "worst_case_eve_position zero ring": ("ring_radius", lambda: worst_case_eve_position(
         (0.0, 0.0), 0.0, [(1.0, 0.0, 100.0)], environment_preset("urban"))),
     "worst_case_eve_position grid": ("grid_points", lambda: worst_case_eve_position(

@@ -537,6 +537,23 @@ def test_aux_blocks_match_direct_fixed_points(scenario_2slot):
             scenario_2slot.loss_eve[n], scenario_2slot.noise_w)
 
 
+@pytest.mark.parametrize("n_slots, n_uavs", [(1, 3), (2, 9), (3, 5), (4, 4), (5, 7)])
+def test_aux_blocks_are_rows_of_the_closed_form_aux(n_slots, n_uavs):
+    # an idle slot, an all-zero row and a zero-power UAV among the lanes
+    scenario = small_scenario(n_uavs=n_uavs, n_slots=n_slots, rng_seed=n_slots + n_uavs)
+    schedule = feasible_schedule(scenario, p_u_frac=0.6, p_a_frac=0.2)
+    p_u, p_a = schedule.p_u.copy(), schedule.p_a.copy()
+    p_a[0] = 0.0
+    p_u[-1, 0] = p_a[-1, 0] = 0.0
+    schedule = PowerSchedule(p_u, p_a)
+    tau = np.ones(n_slots)
+    tau[-1] = 0.0
+    aux = secrecy_throughput_closed_form(scenario, schedule, tau)[1]
+    bob_total, eve_an = solve_aux_block_min(schedule, tau, scenario)
+    bob_an, eve_total = solve_aux_block_max(schedule, tau, scenario)
+    assert np.array_equal(np.stack([bob_total, bob_an, eve_total, eve_an]), aux)
+
+
 def test_aux_blocks_symmetric_receivers_coincide():
     # eavesdropper sitting on the user with equal antennas sees equal losses,
     # so the per-slot fixed points must coincide exactly
@@ -624,7 +641,7 @@ def test_bcd_rejects_bad_stopping_rules():
 def test_bcd_solves_each_iterations_fixed_points_once(monkeypatch):
     # the aux blocks reuse the closed form's fixed points: 4N lanes for the
     # starting point plus 4N per iteration's closed-form evaluation
-    from swarmsec import optimizer, rates
+    from swarmsec import rates
 
     lanes = []
     solve = rates.solve_fixed_point
@@ -634,7 +651,6 @@ def test_bcd_solves_each_iterations_fixed_points_once(monkeypatch):
         return solve(p, n_antennas, losses, noise)
 
     monkeypatch.setattr(rates, "solve_fixed_point", counting)
-    monkeypatch.setattr(optimizer, "solve_fixed_point", counting)
     scenario, schedule, tau = _bcd_setup(seed=1)
     trace = run_bcd(scenario, schedule, tau, epsilon=1e-4, max_iter=8)
     assert sum(lanes) == 4 * scenario.n_slots * (len(trace.iterations) + 1)
