@@ -54,7 +54,9 @@ def check_array(name: str, value, positive: bool = False, shape=None) -> np.ndar
     value = value.astype(float, copy=False)
     if shape is not None and value.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
-    if not np.isfinite(value).all() or (value <= 0.0 if positive else value < 0.0).any():
+    # two reductions and no temporary array; min and max propagate a NaN
+    lo, hi = (value.min(), value.max()) if value.size else (1.0, 1.0)
+    if not (hi < math.inf and (lo > 0.0 if positive else lo >= 0.0)):
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} "
                          f"and finite")
     return value

@@ -14,28 +14,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channel import check_count, check_real, fill_small_scale
+from ..channel import check_count, fill_small_scale
 from ..rates import (RateEstimate, _check_tau, _gram, _logdet2_pivots, _reflector,
                      _tiny_exponent, _weighted_estimate)
 from ..scenario import Scenario
 
 
-def baseline_power_split(bob_antennas: int, eve_antennas: int) -> float:
-    """Signal fraction of the pooled power budget: N_B / (N_B + N_E)."""
-    nb, ne = check_count("bob_antennas", bob_antennas), check_count("eve_antennas", eve_antennas)
-    return nb / (nb + ne)
-
-
 def baseline_null_space(scenario: Scenario, tau, samples: int,
-                        rng: np.random.Generator,
-                        signal_fraction: float | None = None) -> RateEstimate:
+                        rng: np.random.Generator) -> RateEstimate:
     """Monte Carlo throughput of the null-space artificial-noise benchmark.
 
     Per fading draw, signal power ``phi * L * p_max`` is split equally over
     the user channel's row space (its N_B right-singular directions) and
-    noise power ``(1 - phi) * L * p_max`` equally over its null space.
-    Negative per-slot secrecy rates are clipped to zero before duration
-    weighting.
+    noise power ``(1 - phi) * L * p_max`` equally over its null space, at the
+    scheme's fixed split phi = N_B / (N_B + N_E). Negative per-slot secrecy
+    rates are clipped to zero before duration weighting.
 
     Each slot draws the stacked channel [H_b; H_e] into one array with the
     draws last and scores it with ``_null_space_rates``.
@@ -45,11 +38,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas
     if n_uavs <= nb:
         raise ValueError("null-space noise needs more swarm members than user antennas")
-    phi = baseline_power_split(nb, ne) if signal_fraction is None else signal_fraction
-    phi = check_real("signal_fraction", phi)
-    if not 0.0 <= phi <= 1.0:
-        raise ValueError(f"signal_fraction must be in [0, 1], got {phi}")
-
+    phi = nb / (nb + ne)
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)

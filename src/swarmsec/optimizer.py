@@ -197,7 +197,9 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
     Maximizes the duration-weighted per-slot secrecy rates subject to the
     per-slot cap, the total transmission time, and each UAV's energy budget.
     The result is a vertex: the box vertex when no budget row binds, otherwise
-    the LP solved with a simplex method.
+    the LP solved with a simplex method. HiGHS's tolerances are absolute, so
+    it is posed in budget units: x = tau / tau_max in [0, 1], each row over
+    its bound, and the objective over its largest magnitude.
     """
     b = scenario.budgets
     coeff = per_slot_secrecy(scenario, schedule, aux) / b.t_period_s
@@ -213,27 +215,26 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
     # to load, and only an LP whose box vertex breaks a budget row uses it
     from scipy.optimize import linprog
 
-    n = scenario.n_slots
-    a_ub = np.vstack([schedule.p_u.T, np.ones((1, n))])  # one energy row per UAV
-    b_ub = np.concatenate([np.full(scenario.n_uavs, b.e_max_j), [b.t_total_s]])
-    res = linprog(-coeff, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, b.tau_max_s)] * n,
-                  method="highs-ds")
+    a_ub = np.vstack([schedule.p_u.T * (b.tau_max_s / b.e_max_j),  # one row per UAV
+                      np.full((1, scenario.n_slots), b.tau_max_s / b.t_total_s)])
+    peak = float(np.abs(coeff).max()) or 1.0  # all rates 0: every point is optimal
+    res = linprog(-coeff / peak, A_ub=a_ub, b_ub=np.ones(scenario.n_uavs + 1),
+                  bounds=(0.0, 1.0), method="highs-ds")
     if not res.success:
         raise NumericalError(f"duration LP failed: {res.message}",
                              {"status": res.status})
-    return np.clip(res.x, 0.0, b.tau_max_s)
+    return np.clip(res.x, 0.0, 1.0) * b.tau_max_s
 
 
 # ---------------------------------------------------------------------------
 # feasibility audit and the outer loop
 
 def audit_feasibility(scenario: Scenario, schedule: PowerSchedule, tau) -> dict:
-    """Constraint-violation magnitudes (all zero for a feasible point)."""
+    """Budget-violation magnitudes (all zero for a feasible point); the power
+    box 0 <= p_a <= p_u holds for every ``PowerSchedule``."""
     tau = np.asarray(tau, dtype=float)
     b = scenario.budgets
     return {
-        "an_nonneg": float(max(0.0, -schedule.p_a.min())),
-        "an_le_total": float(max(0.0, (schedule.p_a - schedule.p_u).max())),
         "power_cap": float(max(0.0, (schedule.p_u - b.p_max_w).max())),
         "energy": float(max(0.0, (tau @ schedule.p_u - b.e_max_j).max())),
         "tau_nonneg": float(max(0.0, -tau.min())),

@@ -221,8 +221,8 @@ def _logdet2_pivots(g: np.ndarray, s: float) -> np.ndarray:
     d_k = 1 + e_k, e_k = s times the k-th diagonal entry of G's Schur
     complement after k steps, and each step takes column k's outer product,
     scaled by s / d_k, off the rest. As in ``_logdet2_tridiagonal``, the
-    log-det is the sum of log2 d_k, each taken through log1p; s = 0 gives
-    exactly 0.
+    log-det is the sum of log2 d_k, each taken through log1p, and a Schur
+    diagonal that rounds below 0 is taken as 0; s = 0 gives exactly 0.
     """
     n = g.shape[0]
     diag = g.real[np.arange(n), np.arange(n)]
@@ -235,7 +235,7 @@ def _logdet2_pivots(g: np.ndarray, s: float) -> np.ndarray:
         for j in range(k + 1, n - 1):
             g[j + 1:, j] -= (r * col[j - k - 1].conj()) * col[j - k:]
         e = s * diag[k + 1]
-        total += np.log1p(e)
+        total += np.log1p(np.maximum(e, 0.0, out=e))
     return total * LOG2E
 
 
@@ -281,14 +281,15 @@ def _logdet2_tridiagonal(diag: np.ndarray, off2: np.ndarray, c: float,
     The LDL^T pivots of I + s T, s = c / noise, are d_k = 1 + e_k with
     e_0 = s a_0 and e_k = s a_k - s^2 |b_{k-1}|^2 / d_{k-1}; the log-det is
     the sum of log2 d_k, each taken through log1p so that small s keeps its
-    relative accuracy.
+    relative accuracy. T is positive semidefinite, so e_k >= 0; one that rounds
+    below 0 (T of lower rank than its size, at a large s) is taken as 0.
     """
     s = c / noise
     e = s * diag[0]
     total = np.log1p(e)
     for a, b2 in zip(diag[1:], off2):
         e = s * a - s * s * b2 / (1.0 + e)
-        total += np.log1p(e)
+        total += np.log1p(np.maximum(e, 0.0, out=e))
     return total * LOG2E
 
 
@@ -421,7 +422,6 @@ def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.nda
     _check_schedules(scenario, schedule)
     aux = _check_aux(aux, scenario)
     p, n, q = _lane_stack(scenario, schedule)
-    p, q = _check_term_inputs(p, q, scenario.noise_w)
     return _secrecy_rate(_rate_term(p, n, q, aux, scenario.noise_w))
 
 
@@ -467,7 +467,7 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
     single = isinstance(schedules, PowerSchedule)
     schedules, tau = _check_schedules(scenario, schedules, tau)
     p_u, p_a = _power_stacks(schedules)
-    p_s = np.maximum(p_u - p_a, 0.0)
+    p_s = p_u - p_a
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     noise = scenario.noise_w
     streams = rng.spawn(2 * scenario.n_slots)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import EnvironmentParams, check_count, check_real, power_loss_linear
+from .channel import EnvironmentParams, check_array, check_count, check_real, power_loss_linear
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class Scenario:
     (N, L, 3), one row of L members per slot, and the scheduled user
     ``bob_xy`` and the eavesdropper ``eve_xy`` (N, 2) on the ground. The
     per-slot linear power losses toward the user (``loss_bob``) and the
-    eavesdropper (``loss_eve``) are precomputed as (N, L) arrays. The noise
-    power ``noise_w`` is stored as a float.
+    eavesdropper (``loss_eve``) are precomputed as (N, L) arrays, each
+    positive and finite. The noise power ``noise_w`` is stored as a float.
     """
 
     env: EnvironmentParams
@@ -85,6 +85,8 @@ class Scenario:
             for l, xyz in enumerate(swarm):
                 loss_bob[n, l] = power_loss_linear(self.env, xyz, bobs[n])
                 loss_eve[n, l] = power_loss_linear(self.env, xyz, eves[n])
+        for name, value in (("loss_bob", loss_bob), ("loss_eve", loss_eve)):
+            check_array(name, value, positive=True)
         for name, value in (("uav_xyz", uav), ("bob_xy", bob), ("eve_xy", eve),
                             ("loss_bob", loss_bob), ("loss_eve", loss_eve)):
             value.flags.writeable = False
@@ -105,18 +107,19 @@ class PowerSchedule:
 
     ``p_u`` is the total radiated power (confidential signal plus artificial
     noise), ``p_a`` the artificial-noise share; the signal power is their
-    difference. Both are stored as read-only copies of the given arrays.
+    difference. Both are finite, with 0 <= p_a <= p_u, and are stored as
+    read-only copies of the given arrays.
     """
 
     p_u: np.ndarray
     p_a: np.ndarray
 
     def __post_init__(self):
-        p_u, p_a = np.array(self.p_u, dtype=float), np.array(self.p_a, dtype=float)
+        p_u, p_a = (np.array(check_array(name, getattr(self, name))) for name in ("p_u", "p_a"))
         if p_u.ndim != 2 or p_u.shape != p_a.shape:
             raise ValueError(f"p_u and p_a must share one 2-D shape, got {p_u.shape}, {p_a.shape}")
-        if not (np.all(np.isfinite(p_u)) and np.all(np.isfinite(p_a))):
-            raise ValueError("powers must be finite")
+        if (p_a > p_u).any():
+            raise ValueError("p_a must not exceed p_u")
         for name, value in (("p_u", p_u), ("p_a", p_a)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import swarmsec
 from swarmsec.channel import dbm_to_watts, fill_small_scale, sample_small_scale, substream
 from swarmsec.errors import InfeasibleStartError
-from swarmsec.harness.baseline import _null_space_rates, baseline_null_space, baseline_power_split
+from swarmsec.harness.baseline import _null_space_rates, baseline_null_space
 from swarmsec.harness.cli import main
 from swarmsec.harness.config import (SWEEPABLE, ScenarioConfig, config_from_dict,
                                      config_to_dict, load_config, save_config)
@@ -265,13 +265,6 @@ def test_topology_growing_swarm_extends_existing_members():
 # ---------------------------------------------------------------------------
 # baseline
 
-def test_baseline_power_split_ratio():
-    assert baseline_power_split(5, 3) == pytest.approx(5.0 / 8.0)
-    assert baseline_power_split(1, 1) == 0.5
-    with pytest.raises(ValueError):
-        baseline_power_split(0, 3)
-
-
 def test_baseline_requires_null_space():
     cfg = tiny_config(n_uavs=2, bob_antennas=2)
     scenario = generate_topology(cfg, seed=1)
@@ -293,19 +286,12 @@ def test_baseline_rejects_bad_sample_counts():
             baseline_null_space(scenario, np.ones(2), samples, substream(1, "b"))
 
 
-def test_baseline_rejects_bad_signal_fractions():
-    scenario = generate_topology(tiny_config(n_uavs=4), seed=1)
-    for phi in (True, "0.5", -0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError):
-            baseline_null_space(scenario, np.ones(2), 100, substream(1, "b"),
-                                signal_fraction=phi)
-
-
 def test_baseline_zero_signal_fraction_is_zero():
-    scenario = generate_topology(tiny_config(n_uavs=4), seed=2)
-    est = baseline_null_space(scenario, np.ones(2), 200, substream(2, "b"),
-                              signal_fraction=0.0)
-    assert est.mean == 0.0
+    # with no signal power neither receiver has a rate: the user's log-det is
+    # taken at level 0 and the eavesdropper's two Grams are equal
+    g = _stacked_draws(4, 2, 2, 200, 2)
+    r_bob, r_eve = _null_space_rates(g, 2, 0.0, 2.0, 1e-13)
+    assert np.all(r_bob == 0.0) and np.all(r_eve == 0.0)
 
 
 def test_baseline_deterministic_given_stream():
@@ -315,26 +301,32 @@ def test_baseline_deterministic_given_stream():
     assert a.mean == b.mean and a.std_error == b.std_error
 
 
-def _svd_covariance_baseline(scenario, tau, samples, rng, signal_fraction=None):
+def _svd_covariance_rates(h_bob, h_eve, c_sig, c_an, noise):
+    """Per-draw (r_bob, r_eve) of the null-space scheme written with explicit
+    signal and noise covariances, for channels (M, N_B, L) and (M, N_E, L)."""
+    nb = h_bob.shape[1]
+    _, sv, vh = np.linalg.svd(h_bob, full_matrices=True)
+    r_bob = np.sum(np.log1p(c_sig * sv ** 2 / noise), axis=1) * LOG2E
+    row_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, :nb, :].conj())
+    null_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, nb:, :].conj())
+    sig_cov = c_sig * np.einsum("mer,mfr->mef", row_mix, row_mix.conj())
+    an_cov = c_an * np.einsum("mer,mfr->mef", null_mix, null_mix.conj())
+    an_cov += noise * np.eye(h_eve.shape[1])
+    r_eve = (np.linalg.slogdet(sig_cov + an_cov)[1] - np.linalg.slogdet(an_cov)[1]) * LOG2E
+    return r_bob, r_eve
+
+
+def _svd_covariance_baseline(scenario, tau, samples, rng):
     """The null-space baseline written with explicit signal and noise covariances."""
     n_uavs, nb, ne = scenario.n_uavs, scenario.bob_antennas, scenario.eve_antennas
-    phi = nb / (nb + ne) if signal_fraction is None else signal_fraction
+    phi = nb / (nb + ne)
     pooled = n_uavs * scenario.budgets.p_max_w
     c_sig, c_an = phi * pooled / nb, (1.0 - phi) * pooled / (n_uavs - nb)
-    noise = scenario.noise_w
     diffs, variances = [], []
     for n, stream in enumerate(rng.spawn(scenario.n_slots)):
         h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
         h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
-        _, sv, vh = np.linalg.svd(h_bob, full_matrices=True)
-        r_bob = np.sum(np.log1p(c_sig * sv ** 2 / noise), axis=1) * LOG2E
-        row_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, :nb, :].conj())
-        null_mix = np.einsum("mel,mrl->mer", h_eve, vh[:, nb:, :].conj())
-        sig_cov = c_sig * np.einsum("mer,mfr->mef", row_mix, row_mix.conj())
-        an_cov = c_an * np.einsum("mer,mfr->mef", null_mix, null_mix.conj())
-        an_cov += noise * np.eye(ne)
-        r_eve = (np.linalg.slogdet(sig_cov + an_cov)[1]
-                 - np.linalg.slogdet(an_cov)[1]) * LOG2E
+        r_bob, r_eve = _svd_covariance_rates(h_bob, h_eve, c_sig, c_an, scenario.noise_w)
         vals = r_bob - r_eve
         diffs.append(vals.mean())
         variances.append(vals.var(ddof=1) / samples)
@@ -349,51 +341,48 @@ def test_baseline_matches_svd_covariance_oracle():
     # up to about 1e-9 per draw against a 50-digit reference, and a relative bound
     # of 1e-12 would test the oracle's rounding, not the baseline
     tight, thin = {"rel": 1e-12}, {"abs": 1e-9}
-    for n_uavs, nb, ne, phi, tol in ((4, 2, 2, None, tight), (7, 3, 3, 0.4, tight),
-                                     (9, 5, 3, None, tight), (7, 5, 3, None, thin),
-                                     (5, 2, 4, None, thin)):
+    for n_uavs, nb, ne, tol in ((4, 2, 2, tight), (7, 3, 3, tight), (9, 5, 3, tight),
+                                (7, 5, 3, thin), (5, 2, 4, thin)):
         cfg = tiny_config(n_uavs=n_uavs, bob_antennas=nb, eve_antennas=ne)
         scenario = generate_topology(cfg, seed=n_uavs)
         tau = np.array([1.0, 2.0])
-        est = baseline_null_space(scenario, tau, 300, substream(n_uavs, "b"),
-                                  signal_fraction=phi)
-        mean, stderr = _svd_covariance_baseline(scenario, tau, 300,
-                                                substream(n_uavs, "b"), phi)
+        est = baseline_null_space(scenario, tau, 300, substream(n_uavs, "b"))
+        mean, stderr = _svd_covariance_baseline(scenario, tau, 300, substream(n_uavs, "b"))
         assert mean > 0.0
         assert est.mean == pytest.approx(mean, **tol)
         assert est.std_error == pytest.approx(stderr, **tol)
+
+    # another split, phi = 0.4 of 7 UAVs' pooled 1 W, on the null-space rates
+    nb, n_uavs = 3, 7
+    c_sig, c_an = 0.4 * n_uavs / nb, 0.6 * n_uavs / (n_uavs - nb)
+    g = _stacked_draws(n_uavs, nb, 3, 300, 7)
+    h = g.transpose(2, 0, 1).copy()
+    want = _svd_covariance_rates(h[:, :nb], h[:, nb:], c_sig, c_an, 1e-13)
+    for rate, oracle in zip(_null_space_rates(g, nb, c_sig, c_an, 1e-13), want):
+        assert rate == pytest.approx(oracle, rel=1e-12)
 
 
 def test_baseline_full_signal_matches_independent_estimator():
     # with the whole budget on the signal there is no artificial noise; the
     # secrecy rate has a direct log-det form this re-implements with plain loops
-    cfg = tiny_config(n_uavs=4, n_slots=2, bob_antennas=2, eve_antennas=2)
-    scenario = generate_topology(cfg, seed=7)
-    tau = np.array([1.0, 2.0])
-    samples = 200
-    est = baseline_null_space(scenario, tau, samples, substream(11, "chk"),
-                              signal_fraction=1.0)
-
-    nb, ne, n_uavs = 2, 2, 4
+    nb, ne, n_uavs, samples = 2, 2, 4, 200
+    scenario = generate_topology(tiny_config(n_uavs=n_uavs, bob_antennas=nb,
+                                             eve_antennas=ne), seed=7)
     noise = scenario.noise_w
     c_sig = 1.0 * n_uavs * scenario.budgets.p_max_w / nb
-    streams = substream(11, "chk").spawn(scenario.n_slots)
-    diffs = []
-    for n in range(scenario.n_slots):
-        stream = streams[n]
+    for n, stream in enumerate(substream(11, "chk").spawn(scenario.n_slots)):
         h_bob = sample_small_scale(stream, nb, n_uavs, samples) / np.sqrt(scenario.loss_bob[n])
         h_eve = sample_small_scale(stream, ne, n_uavs, samples) / np.sqrt(scenario.loss_eve[n])
+        r_bob, r_eve = _null_space_rates(np.concatenate([h_bob, h_eve], axis=1)
+                                         .transpose(1, 2, 0).copy(), nb, c_sig, 0.0, noise)
         vals = np.empty(samples)
         for m in range(samples):
             _, sv, vh = np.linalg.svd(h_bob[m], full_matrices=True)
-            r_bob = float(np.sum(np.log1p(c_sig * sv ** 2 / noise))) * LOG2E
+            want_bob = float(np.sum(np.log1p(c_sig * sv ** 2 / noise))) * LOG2E
             g = h_eve[m] @ vh[:nb].conj().T
             gram = np.eye(ne) + c_sig * (g @ g.conj().T) / noise
-            r_eve = float(np.linalg.slogdet(gram)[1]) * LOG2E
-            vals[m] = r_bob - r_eve
-        diffs.append(max(vals.mean(), 0.0))
-    expected = float(np.dot(tau, diffs) / scenario.budgets.t_period_s)
-    assert est.mean == pytest.approx(expected, rel=1e-9)
+            vals[m] = want_bob - float(np.linalg.slogdet(gram)[1]) * LOG2E
+        assert (r_bob - r_eve).mean() == pytest.approx(vals.mean(), rel=1e-9)
 
 
 def _stacked_draws(n_uavs, nb, ne, samples, seed):

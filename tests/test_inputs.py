@@ -5,12 +5,15 @@ import pytest
 
 from swarmsec.channel import EnvironmentParams, environment_preset, sample_small_scale, substream
 from swarmsec.geometry import worst_case_eve_position
-from swarmsec.harness.baseline import baseline_null_space, baseline_power_split
+from swarmsec.harness.baseline import baseline_null_space
+from swarmsec.harness.config import ScenarioConfig
+from swarmsec.harness.topology import generate_topology
 from swarmsec.optimizer import (run_bcd, solve_duration_lp, solve_power_subproblem,
                                 throughput_at_aux)
 from swarmsec.rates import (ergodic_rate_mc, fixed_point_residual, per_slot_secrecy,
                             rate_term, rate_term_gradient, secrecy_throughput_closed_form,
                             secrecy_throughput_mc, solve_fixed_point)
+from swarmsec.scenario import PowerSchedule
 
 from conftest import default_budgets, feasible_schedule, small_scenario
 
@@ -58,10 +61,6 @@ CASES = {
     "run_bcd nan epsilon": ("epsilon", lambda: run_bcd(SCENARIO, SCHEDULE, TAU,
                                                        epsilon=np.nan)),
     "run_bcd negative tau": ("tau", lambda: run_bcd(SCENARIO, SCHEDULE, [-1.0, 1.0])),
-    "baseline_power_split fractional count": ("bob_antennas",
-                                              lambda: baseline_power_split(2.5, 3)),
-    "baseline_null_space signal fraction": ("signal_fraction", lambda: baseline_null_space(
-        SCENARIO, TAU, 100, substream(1, "b"), signal_fraction="0.5")),
     "baseline_null_space tau": ("tau", lambda: baseline_null_space(
         SCENARIO, [1.0, np.inf], 100, substream(1, "b"))),
     "sample_small_scale zero antennas": ("n_antennas", lambda: sample_small_scale(
@@ -75,6 +74,14 @@ CASES = {
         (0.0, 0.0), 0.0, [(1.0, 0.0, 100.0)], environment_preset("urban"))),
     "worst_case_eve_position grid": ("grid_points", lambda: worst_case_eve_position(
         (0.0, 0.0), 100.0, [(1.0, 0.0, 100.0)], environment_preset("urban"), 8.5)),
+    "power schedule negative p_a": ("p_a", lambda: PowerSchedule(SCHEDULE.p_u,
+                                                                 -SCHEDULE.p_a - 0.01)),
+    "power schedule p_a above p_u": ("p_a", lambda: PowerSchedule(SCHEDULE.p_a,
+                                                                  SCHEDULE.p_u)),
+    # a carrier this low puts every loss below the smallest float: it loaded and
+    # built, and only a later kernel rejected the losses
+    "scenario zero losses": ("loss_bob", lambda: generate_topology(
+        ScenarioConfig(carrier_freq_hz=1e-300, n_slots=1, eve_grid_points=8), 1)),
     # a 2-D array given for a scalar: its repr runs over several lines
     "budgets array": ("p_max_w", lambda: default_budgets(p_max_w=np.eye(3))),
     "environment zero carrier": ("carrier_freq_hz", lambda: EnvironmentParams(

@@ -135,3 +135,27 @@ def test_closed_form_invariant_under_noise_and_power_scaling():
                 scaled, PowerSchedule(k * p_u, k * p_a), tau)
             np.testing.assert_allclose(got, value, rtol=1e-12)
             np.testing.assert_allclose(got_aux, aux, rtol=1e-12)
+
+
+def test_bcd_invariant_under_budget_unit_scaling():
+    # the throughput is airtime-weighted over the period, so scaling every time
+    # and energy budget by one factor s rescales the durations and leaves the
+    # objective as it is. At 5 J the energy rows bind and the duration LP runs
+    # in HiGHS, whose tolerances are absolute: posed in seconds and joules, at
+    # s = 1e-9 its first LP filled every slot at 16 times the energy budget.
+    # Scales above 1 are not invariant: initial_point caps each slot at an
+    # absolute 1 s, so there the start itself moves
+    config = ScenarioConfig(e_max_j=5.0)
+    keys = ("t_total_s", "tau_max_s", "t_period_s", "e_max_j")
+    want = None
+    for s in (1.0, 1e-3, 1e-6, 1e-9):
+        scaled = dataclasses.replace(config, **{k: s * getattr(config, k) for k in keys})
+        scenario = generate_topology(scaled, scaled.seed)
+        schedule, tau = initial_point(scenario, scaled)
+        trace = run_bcd(scenario, schedule, tau, epsilon=scaled.bcd_epsilon,
+                        max_iter=scaled.bcd_max_iter)
+        if want is None:
+            want = trace.final.objective
+        np.testing.assert_allclose(trace.final.objective, want, rtol=1e-12)
+        for rec in trace.iterations:
+            assert rec.diagnostics["max_violation"] <= 1e-9 * s

@@ -383,15 +383,16 @@ def test_duration_lp_matches_vertex_enumeration():
 
 
 def _highs_durations(coeff, schedule, budgets):
-    """The duration LP through HiGHS directly, as ``solve_duration_lp`` poses it."""
-    n = len(coeff)
+    """The duration LP through HiGHS directly, as ``solve_duration_lp`` poses it:
+    in budget units, x = tau / tau_max with each row over its bound."""
+    n, cap = len(coeff), budgets.tau_max_s
     res = linprog(
-        -coeff, A_ub=np.vstack([schedule.p_u.T, np.ones((1, n))]),
-        b_ub=np.concatenate([np.full(schedule.p_u.shape[1], budgets.e_max_j),
-                             [budgets.t_total_s]]),
-        bounds=[(0.0, budgets.tau_max_s)] * n, method="highs-ds")
+        -coeff / np.abs(coeff).max(),
+        A_ub=np.vstack([schedule.p_u.T * (cap / budgets.e_max_j),
+                        np.full((1, n), cap / budgets.t_total_s)]),
+        b_ub=np.ones(schedule.p_u.shape[1] + 1), bounds=(0.0, 1.0), method="highs-ds")
     assert res.success
-    return np.clip(res.x, 0.0, budgets.tau_max_s)
+    return np.clip(res.x, 0.0, 1.0) * cap
 
 
 @pytest.fixture
@@ -462,6 +463,17 @@ def test_duration_lp_calls_highs_unless_the_box_vertex_is_the_unique_optimum(
     oracle = _lp_vertex_oracle(coeff, schedule.p_u, budgets.e_max_j,
                                budgets.t_total_s, budgets.tau_max_s)
     assert float(coeff @ tau) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_duration_lp_with_every_rate_zero_is_feasible():
+    # with no signal power every slot's secrecy rate is exactly 0: the LP's
+    # objective has no largest magnitude to be scaled by, and any point is optimal
+    scenario = small_scenario(n_uavs=2, n_slots=3, budgets=default_budgets(e_max_j=5.0))
+    schedule = PowerSchedule(np.full((3, 2), 0.7), np.full((3, 2), 0.7))
+    aux = _aux_from(schedule, np.ones(3), scenario)
+    assert np.all(per_slot_secrecy(scenario, schedule, aux) == 0.0)
+    tau = solve_duration_lp(aux, schedule, scenario)
+    assert max(audit_feasibility(scenario, schedule, tau).values()) == 0.0
 
 
 def test_duration_lp_single_slot_formula():
@@ -578,12 +590,12 @@ def test_audit_feasibility_flags_each_violation():
     tau = np.ones(2)
     assert max(audit_feasibility(scenario, good, tau).values()) == 0.0
 
+    # the power box is the schedule's own rule: a point outside it is not built
     shape = good.p_u.shape
-    neg_an = PowerSchedule(good.p_u, np.full(shape, -0.01))
-    assert audit_feasibility(scenario, neg_an, tau)["an_nonneg"] == pytest.approx(0.01)
-
-    an_over = PowerSchedule(np.full(shape, 0.2), np.full(shape, 0.3))
-    assert audit_feasibility(scenario, an_over, tau)["an_le_total"] == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="^p_a "):
+        PowerSchedule(good.p_u, np.full(shape, -0.01))
+    with pytest.raises(ValueError, match="^p_a "):
+        PowerSchedule(np.full(shape, 0.2), np.full(shape, 0.3))
 
     hot = PowerSchedule(np.full(shape, 1.4), np.full(shape, 0.0))
     audit = audit_feasibility(scenario, hot, tau)

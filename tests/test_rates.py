@@ -435,6 +435,29 @@ def test_gram_pivot_log_dets_match_quadratic_form():
         assert np.all(_logdet2_pivots(_gram(h), 0.0) == 0.0)
 
 
+def _rank_deficient_channels():
+    """500 draws of 5 x 3 channels at losses of a few 1e10: H H^H is 5 x 5 of
+    rank 3. A Schur diagonal of its null directions rounds to about
+    +-eps*||G||, so at an SNR s with s*eps*||G|| > 1 a negative one took
+    log1p below -1: a NaN log-det, and a RuntimeWarning, which fails the test."""
+    return sample_small_scale(substream(53, "rank"), 5, 3, 500,
+                              np.linspace(1.0, 4.0, 3) * 1e10)
+
+
+def test_gram_pivot_log_dets_stay_finite_at_high_snr():
+    h = _rank_deficient_channels()
+    for s in (1e26, 1e28, 1e30):
+        got = _logdet2_pivots(_gram(h), s)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
+
+def test_tridiagonal_log_dets_stay_finite_at_high_snr():
+    diag, off2 = _tridiagonal_gram(_rank_deficient_channels())
+    for s in (1e26, 1e28, 1e30):
+        got = _logdet2_tridiagonal(diag, off2, s * 1e-13, 1e-13)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
+
 def test_baseline_runs_no_tridiagonal_reduction(monkeypatch):
     # each baseline log-det is taken at one power level, so it is one pivot
     # pass on a Gram: no tridiagonal reduction and no pivot recurrence on
