@@ -24,6 +24,12 @@ LIGHT_SPEED_M_S = 3.0e8
 #: a pass's working set stays in cache; read at call time
 DRAW_BLOCK = 2048
 
+# ``power_loss_linear``'s math, bound once: the eavesdropper scan calls it for
+# every (ring point, UAV) link. ``math.degrees(t)`` is ``t * (180 / pi)``, bit
+# for bit.
+_sqrt, _asin, _exp, _log10, _INF = math.sqrt, math.asin, math.exp, math.log10, math.inf
+_DEGREES_PER_RADIAN = 180.0 / math.pi
+
 
 def _one_line(value) -> str:
     """``repr(value)`` with each run of whitespace made one space."""
@@ -137,15 +143,21 @@ def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
     if z <= 0.0:
         raise ValueError(f"transmitter altitude must be positive, got {z}")
     excess_span, a, neg_b, eta_nlos_db, free_space_1m = env._link_constants
-    try:
-        d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
-        rho = math.degrees(math.asin(z / d))
-        blended = excess_span / (1.0 + a * math.exp(neg_b * (rho - a)))
-        loss_db = blended + (20.0 * math.log10(d) + free_space_1m) + eta_nlos_db
-        return 10.0 ** (loss_db / 10.0)
-    except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"path loss from transmitter {tuple(map(float, uav))} to ground "
-                         f"point {tuple(map(float, ground))} is out of float range") from None
+    # each square a product, correctly rounded (``t ** 2`` goes through libm's
+    # pow); a product overflows to inf or underflows to 0 without raising, so
+    # the range is checked
+    dx, dy = x - gx, y - gy
+    d = _sqrt(z * z + dx * dx + dy * dy)
+    if 0.0 < d < _INF:
+        try:
+            rho = _asin(z / d) * _DEGREES_PER_RADIAN
+            blended = excess_span / (1.0 + a * _exp(neg_b * (rho - a)))
+            loss_db = blended + (20.0 * _log10(d) + free_space_1m) + eta_nlos_db
+            return 10.0 ** (loss_db / 10.0)
+        except OverflowError:
+            pass
+    raise ValueError(f"path loss from transmitter {tuple(map(float, uav))} to ground "
+                     f"point {tuple(map(float, ground))} is out of float range")
 
 
 def path_loss_db(env: EnvironmentParams, uav, ground) -> float:

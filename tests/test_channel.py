@@ -1,5 +1,6 @@
 """Path-loss model, unit conversions, seeded substreams, fading statistics."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -123,10 +124,11 @@ def test_power_loss_linear_matches_db():
 
 def _two_step_power_loss(env, uav, ground):
     """The loss as two steps, dB first, with every environment constant
-    recomputed per link: the form the stored per-link constants replaced."""
+    recomputed per link: the form the stored per-link constants replaced. The
+    squares are products, as in the kernel."""
     x, y, z = uav
     gx, gy = ground
-    d = math.sqrt(z ** 2 + (x - gx) ** 2 + (y - gy) ** 2)
+    d = math.sqrt(z * z + (x - gx) * (x - gx) + (y - gy) * (y - gy))
     rho = math.degrees(math.asin(z / d))
     excess_span = env.eta_los_db - env.eta_nlos_db
     blended = excess_span / (1.0 + env.a * math.exp(-env.b * (rho - env.a)))
@@ -134,6 +136,25 @@ def _two_step_power_loss(env, uav, ground):
         4.0 * math.pi * env.carrier_freq_hz / 3.0e8)
     loss_db = blended + free_space + env.eta_nlos_db
     return 10.0 ** (loss_db / 10.0)
+
+
+# Links on which ``t ** 2`` (libm's pow) and ``t * t`` give different losses in
+# the suburban preset: the first five of 277 349 ring-like links drawn by
+# numpy's default_rng(2026), with the user uniform on [-500, 500]^2 m, the UAV
+# uniform within 50 m of it horizontally at 100-200 m, and the ground point on
+# the 100 m ring around the user.
+_POW_SQUARE_LINKS = [
+    ((458.55337566982513, -205.64696473574253, 112.31906830072921),
+     (348.0436120945088, -166.9164837449035)),
+    ((118.71974468190477, 99.23924096165513, 105.76249702354022),
+     (117.19484109289448, -2.928234738884413)),
+    ((-44.14755539443195, 7.387818664803903, 135.22836582295355),
+     (-133.9576770000868, 44.39297024737599)),
+    ((-351.11858497959577, 482.5095626100171, 125.92927404870272),
+     (-328.0623609051897, 580.534583404447)),
+    ((-235.91443176682367, 349.5994776855612, 137.42598860828895),
+     (-307.7140550249551, 270.5822650701427)),
+]
 
 
 def test_power_loss_linear_equals_the_two_step_formula_bit_for_bit():
@@ -147,6 +168,26 @@ def test_power_loss_linear_equals_the_two_step_formula_bit_for_bit():
                    float(rng.uniform(1.0, 400.0)))
             ground = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
             assert power_loss_linear(env, uav, ground) == _two_step_power_loss(env, uav, ground)
+        for uav, ground in _POW_SQUARE_LINKS:
+            assert power_loss_linear(env, uav, ground) == _two_step_power_loss(env, uav, ground)
+
+
+@pytest.mark.parametrize("uav, ground, warning", [
+    pytest.param((0.0, 0.0, 1e200), (0.0, 0.0), None, id="float z squared overflows"),
+    pytest.param((0.0, 0.0, 100.0), (1e200, 0.0), None, id="float ring point squared overflows"),
+    pytest.param(np.array([0.0, 0.0, 1e-300]), np.array([0.0, 0.0]), None,
+                 id="numpy z squared underflows above its ground point"),
+    pytest.param(np.array([0.0, 0.0, 1e160]), np.array([0.0, 0.0]), RuntimeWarning,
+                 id="numpy z squared overflows"),
+])
+def test_power_loss_linear_rejects_a_squared_range_out_of_float_range(uav, ground, warning):
+    # the squares are products, which leave float range without raising
+    expected = (f"path loss from transmitter {tuple(map(float, uav))} to ground point "
+                f"{tuple(map(float, ground))} is out of float range")
+    with pytest.warns(warning) if warning else contextlib.nullcontext():
+        with pytest.raises(ValueError) as err:
+            power_loss_linear(environment_preset("urban"), uav, ground)
+    assert str(err.value) == expected
 
 
 def test_power_loss_linear_names_a_numpy_link_in_plain_floats():
