@@ -16,7 +16,7 @@ import numpy as np
 
 from ..channel import check_count, fill_small_scale
 from ..rates import (RateEstimate, _check_tau, _gram, _logdet2_pivots, _reflector,
-                     _tiny_exponent, _weighted_estimate)
+                     _std_error, _weighted_estimate)
 from ..scenario import Scenario
 
 
@@ -43,8 +43,7 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
     c_sig = phi * pooled / nb
     c_an = (1.0 - phi) * pooled / (n_uavs - nb)
 
-    diffs = np.empty(scenario.n_slots)
-    per_draw = np.empty((scenario.n_slots, samples))
+    means, std_errors = np.empty(scenario.n_slots), np.empty(scenario.n_slots)
     # the stacked channel [H_b; H_e] with the draws last, and h, one matrix per draw
     g = np.empty((nb + ne, n_uavs, samples), dtype=complex)
     h = g.transpose(2, 0, 1)
@@ -53,11 +52,9 @@ def baseline_null_space(scenario: Scenario, tau, samples: int,
         fill_small_scale(stream, h[:, :nb], scenario.loss_bob[n])
         fill_small_scale(stream, h[:, nb:], scenario.loss_eve[n])
         r_bob, r_eve = _null_space_rates(g, nb, c_sig, c_an, scenario.noise_w)
-        per_draw[n] = r_bob - r_eve
-        diffs[n] = float(per_draw[n].mean())
-    k = _tiny_exponent(per_draw)
-    variances = [np.ldexp(vals, k).var(ddof=1) / samples for vals in per_draw]
-    return _weighted_estimate(scenario, tau, np.maximum(diffs, 0.0), variances, k)
+        vals = r_bob - r_eve
+        means[n], std_errors[n] = vals.mean(), _std_error(vals)
+    return _weighted_estimate(scenario, tau, np.maximum(means, 0.0), std_errors)
 
 
 def _null_space_rates(g: np.ndarray, nb: int, c_sig: float, c_an: float,

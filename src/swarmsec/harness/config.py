@@ -94,11 +94,11 @@ class ScenarioConfig:
         if self.environment == "custom" and (self.eta_los_db is None
                                              or self.eta_nlos_db is None):
             raise ValueError("environment 'custom' requires eta_los_db and eta_nlos_db")
-        for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas", "mc_samples",
+        for name in ("n_uavs", "n_slots", "bob_antennas", "eve_antennas",
                      "bcd_max_iter", "n_topologies", "replicates"):
             check_count(name, getattr(self, name))
-        # the baseline's standard error needs two draws
-        check_count("baseline_samples", self.baseline_samples, minimum=2)
+        for name in ("mc_samples", "baseline_samples"):  # a standard error needs two draws
+            check_count(name, getattr(self, name), minimum=2)
         check_count("eve_grid_points", self.eve_grid_points, minimum=8)
         check_count("seed", self.seed, minimum=0)
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:

@@ -231,13 +231,12 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
 
 def audit_feasibility(scenario: Scenario, schedule: PowerSchedule, tau) -> dict:
     """Budget-violation magnitudes (all zero for a feasible point); the power
-    box 0 <= p_a <= p_u holds for every ``PowerSchedule``."""
-    tau = np.asarray(tau, dtype=float)
+    box holds for every ``PowerSchedule``, and tau >= 0 for every ``tau``."""
+    tau = _check_tau(scenario, tau)
     b = scenario.budgets
     return {
         "power_cap": float(max(0.0, (schedule.p_u - b.p_max_w).max())),
         "energy": float(max(0.0, (tau @ schedule.p_u - b.e_max_j).max())),
-        "tau_nonneg": float(max(0.0, -tau.min())),
         "tau_cap": float(max(0.0, (tau - b.tau_max_s).max())),
         "time_total": float(max(0.0, tau.sum() - b.t_total_s)),
     }

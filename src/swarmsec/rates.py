@@ -328,9 +328,10 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     p / c, so equal-power rows at any level share one reduction; an all-zero
     row's log-det is exactly 0. Each row's rate is then the difference of two
     of those log-dets, and gives the same bits alone or in any stack.
+    ``samples`` is at least 2, as a standard error needs two draws.
     """
     n_antennas = check_count("n_antennas", n_antennas)
-    samples = check_count("samples", samples)
+    samples = check_count("samples", samples, minimum=2)
     p_num, p_den = check_array("p_num", p_num), check_array("p_den", p_den)
     losses = np.asarray(losses, dtype=float)  # its values are checked as h is drawn
     if losses.ndim != 1 or p_num.shape != p_den.shape or p_den.shape[-1:] != losses.shape:
@@ -358,11 +359,7 @@ def ergodic_rate_mc(losses, p_num, p_den, noise: float, n_antennas: int,
     for total, den in zip(totals, dens):
         vals = logdets[total.tobytes()] - logdets[den.tobytes()]
         mean.append(vals.mean())
-        std = vals.std(ddof=1) if samples > 1 else 0.0
-        if samples > 1 and std < 1e-140:  # its squares may have underflowed
-            k = _tiny_exponent(vals)
-            std = math.ldexp(np.ldexp(vals, k).std(ddof=1), -k)
-        stderr.append(std / math.sqrt(samples))
+        stderr.append(_std_error(vals))
     shape = p_den.shape[:-1]
     return RateEstimate(mean=_out(np.reshape(mean, shape)),
                         std_error=_out(np.reshape(stderr, shape)))
@@ -472,34 +469,34 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
     noise = scenario.noise_w
     streams = rng.spawn(2 * scenario.n_slots)
 
-    diffs = np.empty((len(schedules), scenario.n_slots))
-    errors = np.empty((2,) + diffs.shape)  # the user's and the eavesdropper's
+    means = np.empty((len(schedules), scenario.n_slots))
+    std_errors = np.empty_like(means)
     for i in range(scenario.n_slots):
         bob = ergodic_rate_mc(scenario.loss_bob[i], p_s[:, i], p_a[:, i], noise, nb,
                               samples, streams[2 * i])
         eve = ergodic_rate_mc(scenario.loss_eve[i], p_s[:, i], p_a[:, i], noise, ne,
                               samples, streams[2 * i + 1])
-        diffs[:, i] = bob.mean - eve.mean
-        errors[:, :, i] = bob.std_error, eve.std_error
-    k = _tiny_exponent(errors)
-    bob_err, eve_err = np.ldexp(errors, k)
-    estimates = [_weighted_estimate(scenario, tau, d, v, k)
-                 for d, v in zip(diffs, bob_err ** 2 + eve_err ** 2)]
+        means[:, i] = bob.mean - eve.mean
+        std_errors[:, i] = np.hypot(bob.std_error, eve.std_error)
+    estimates = [_weighted_estimate(scenario, tau, m, e) for m, e in zip(means, std_errors)]
     return estimates[0] if single else estimates
 
 
-def _tiny_exponent(values) -> int:
-    """k with 2**k * max|values| in [0.5, 1) when max|values| < 1e-150, else 0.
-    Squares of values that small underflow; a power-of-two scaling is exact,
-    so a spread of the scaled values, scaled back, keeps its bits."""
-    peak = float(np.max(np.abs(values)))
-    return -math.frexp(peak)[1] if 0.0 < peak < 1e-150 else 0
+def _std_error(vals: np.ndarray) -> float:
+    """Standard error of the mean of two or more per-draw values. A spread
+    below 1e-140 may have underflowed in its squares: it is taken again on the
+    values scaled by a power of two (exact) to put their largest in [0.5, 1)."""
+    std = vals.std(ddof=1)
+    if std < 1e-140:
+        k = -math.frexp(float(np.max(np.abs(vals))))[1]
+        std = math.ldexp(np.ldexp(vals, k).std(ddof=1), -k)
+    return std / math.sqrt(vals.size)
 
 
-def _weighted_estimate(scenario: Scenario, tau, diffs, variances, k: int = 0) -> RateEstimate:
-    """Per-slot estimates averaged over the period, weighted by the slot durations;
-    the per-slot variances, given times 4**k (``_tiny_exponent``), propagate to
-    the standard error."""
+def _weighted_estimate(scenario: Scenario, tau, means, std_errors) -> RateEstimate:
+    """Per-slot estimates averaged over the period, weighted by the slot
+    durations; the per-slot standard errors combine as a root sum of squares,
+    which ``math.hypot`` takes without underflow or overflow."""
     period = scenario.budgets.t_period_s
-    return RateEstimate(mean=float(np.dot(tau, diffs) / period),
-                        std_error=math.ldexp(math.sqrt(np.dot(tau ** 2, variances)), -k) / period)
+    return RateEstimate(mean=float(np.dot(tau, means) / period),
+                        std_error=math.hypot(*(tau * std_errors)) / period)

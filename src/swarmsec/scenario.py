@@ -128,10 +128,10 @@ class PowerSchedule:
 def uniform_schedule(scenario: Scenario, p_u_w: float, p_a_w: float) -> PowerSchedule:
     """Constant schedule: every UAV in every slot uses the same power pair.
 
-    Values are clipped into the feasible box (0 <= p_a <= p_u <= p_max), so a
-    nominal setting above the cap degrades gracefully to the cap.
+    Real numbers (``check_real``) are clipped into the feasible box
+    (0 <= p_a <= p_u <= p_max), so a setting above the cap becomes the cap.
     """
-    p_u = min(max(float(p_u_w), 0.0), scenario.budgets.p_max_w)
-    p_a = min(max(float(p_a_w), 0.0), p_u)
+    p_u = min(max(check_real("p_u_w", p_u_w), 0.0), scenario.budgets.p_max_w)
+    p_a = min(max(check_real("p_a_w", p_a_w), 0.0), p_u)
     shape = (scenario.n_slots, scenario.n_uavs)
     return PowerSchedule(np.full(shape, p_u), np.full(shape, p_a))

@@ -113,6 +113,7 @@ BAD_CONFIG_VALUES = [
     {"validate_p_a_dbm": [10.0, 4000]},
     {"validate_p_s_dbm": [4000]},
     {"baseline_samples": 1},  # fails only after replicate 0 is optimized
+    {"mc_samples": 1},  # validate certified tol_ok with a standard error of 0
 ]
 
 
@@ -774,6 +775,16 @@ def test_cli_link_out_of_float_range_exits_1(tmp_path, capsys, raw):
     assert main(["validate", "--config", str(path), "--out-dir", str(out_dir)]) == 1
     # the kernel names the link, before Scenario's loss check could name a matrix
     assert _assert_one_error_line(capsys).startswith("error: path loss from transmitter")
+    assert not out_dir.exists()
+
+
+def test_cli_validate_one_sample_exits_1(tmp_path, capsys):
+    # one draw has no standard error: every row passed tol_ok with a 0 in it
+    out_dir = tmp_path / "results"
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    assert main(["validate", "--config", str(config), "--samples", "1",
+                 "--out-dir", str(out_dir)]) == 1
+    assert _assert_one_error_line(capsys).startswith("error: mc_samples ")
     assert not out_dir.exists()
 
 

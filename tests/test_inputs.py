@@ -8,12 +8,12 @@ from swarmsec.geometry import worst_case_eve_position
 from swarmsec.harness.baseline import baseline_null_space
 from swarmsec.harness.config import ScenarioConfig
 from swarmsec.harness.topology import generate_topology
-from swarmsec.optimizer import (run_bcd, solve_duration_lp, solve_power_subproblem,
-                                throughput_at_aux)
+from swarmsec.optimizer import (audit_feasibility, run_bcd, solve_duration_lp,
+                                solve_power_subproblem, throughput_at_aux)
 from swarmsec.rates import (ergodic_rate_mc, fixed_point_residual, per_slot_secrecy,
                             rate_term, rate_term_gradient, secrecy_throughput_closed_form,
                             secrecy_throughput_mc, solve_fixed_point)
-from swarmsec.scenario import PowerSchedule
+from swarmsec.scenario import PowerSchedule, uniform_schedule
 
 from conftest import default_budgets, feasible_schedule, small_scenario
 
@@ -52,12 +52,26 @@ CASES = {
         [1.0], [1.0], [1.0], True, 1, 10, substream(0, "n"))),
     "ergodic_rate_mc zero loss": ("losses", lambda: ergodic_rate_mc(
         [0.0], [1.0], [1.0], 1.0, 1, 10, substream(0, "n"))),
+    # one draw gave a standard error of 0
+    "ergodic_rate_mc one sample": ("samples", lambda: ergodic_rate_mc(
+        [1.0], [1.0], [1.0], 1.0, 1, 1, substream(0, "n"))),
     "closed form nan tau": ("tau", lambda: secrecy_throughput_closed_form(
         SCENARIO, SCHEDULE, [np.nan, 1.0])),
     "closed form tau shape": ("tau", lambda: secrecy_throughput_closed_form(
         SCENARIO, [SCHEDULE, SCHEDULE], np.ones(5))),
     "mc throughput fractional samples": ("samples", lambda: secrecy_throughput_mc(
         SCENARIO, SCHEDULE, TAU, 2.5, substream(0, "n"))),
+    "mc throughput one sample": ("samples", lambda: secrecy_throughput_mc(
+        SCENARIO, SCHEDULE, TAU, 1, substream(0, "n"))),
+    # a nan duration audited as feasible, and a short one failed inside numpy
+    "audit_feasibility nan tau": ("tau", lambda: audit_feasibility(
+        SCENARIO, SCHEDULE, np.full(SCENARIO.n_slots, np.nan))),
+    "audit_feasibility short tau": ("tau", lambda: audit_feasibility(
+        SCENARIO, SCHEDULE, TAU[:-1])),
+    # "0.5" and True were taken as watts, and None raised a TypeError
+    "uniform_schedule string power": ("p_u_w", lambda: uniform_schedule(SCENARIO, "0.5", 0.1)),
+    "uniform_schedule boolean power": ("p_a_w", lambda: uniform_schedule(SCENARIO, 0.5, True)),
+    "uniform_schedule no power": ("p_u_w", lambda: uniform_schedule(SCENARIO, None, 0.1)),
     "run_bcd nan epsilon": ("epsilon", lambda: run_bcd(SCENARIO, SCHEDULE, TAU,
                                                        epsilon=np.nan)),
     "run_bcd negative tau": ("tau", lambda: run_bcd(SCENARIO, SCHEDULE, [-1.0, 1.0])),

@@ -602,7 +602,9 @@ def test_audit_feasibility_flags_each_violation():
     assert audit["power_cap"] == pytest.approx(0.4)
     assert audit["energy"] == 0.0  # 2.8 J over two unit slots stays under 5 J
 
-    assert audit_feasibility(scenario, good, np.array([-0.5, 1.0]))["tau_nonneg"] == 0.5
+    # a negative duration is not a point to audit: it breaks tau's input rule
+    with pytest.raises(ValueError, match="^tau "):
+        audit_feasibility(scenario, good, np.array([-0.5, 1.0]))
     assert audit_feasibility(scenario, good, np.array([9.0, 1.0]))["tau_cap"] == 1.0
     assert audit_feasibility(scenario, good, np.array([7.0, 7.0]))["time_total"] == 4.0
 
