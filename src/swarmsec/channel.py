@@ -5,8 +5,8 @@ LoS/NLoS excess losses are blended by the elevation angle, on top of free-space
 attenuation. Small-scale fading is unit-variance circularly-symmetric complex
 Gaussian, drawn from seeded substreams so every experiment is replayable.
 This lowest layer also holds the input rules: every public entry checks each
-of its inputs once, by ``check_real``, ``check_array`` or ``check_count``, and
-every rejection is a one-line ValueError that names the input.
+of its inputs once, by one of the ``check_*`` helpers below, and every
+rejection is a one-line ValueError that names the input.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ def _one_line(value) -> str:
 
 
 def check_real(name: str, value, positive: bool = False) -> float:
-    """A real number as a float; booleans, strings and other types are rejected.
-    With ``positive``, it must also be positive and finite."""
+    """A finite real number as a float; booleans, strings and other types are
+    rejected. With ``positive``, it must also be positive."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {_one_line(value)}")
     value = float(value)
-    if positive and not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value}")
     return value
 
 
@@ -66,6 +66,22 @@ def check_array(name: str, value, positive: bool = False, shape=None) -> np.ndar
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} "
                          f"and finite")
     return value
+
+
+def check_points(name: str, value, shape: tuple) -> np.ndarray:
+    """Coordinates of any sign: a new, nonempty, finite float array of ``shape``
+    ("L" in ("L", 3) is any length), from integers or floats only."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        value = np.asarray(value, dtype=object)
+    if (value.dtype.kind not in "iuf" or value.size == 0 or value.ndim != len(shape)
+            or any(n != k for n, k in zip(value.shape, shape) if isinstance(k, int))
+            or not np.isfinite(value).all()):
+        pattern = str(shape).replace("'", "")
+        raise ValueError(f"{name} must be a finite real array of shape {pattern}, "
+                         f"got {value.dtype} {value.shape}")
+    return value.astype(float)
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:
@@ -97,9 +113,6 @@ class EnvironmentParams:
             value = check_real(f.name, getattr(self, f.name),
                                positive=f.name in ("a", "b", "carrier_freq_hz"))
             object.__setattr__(self, f.name, value)
-        for name in ("eta_los_db", "eta_nlos_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "_link_constants", (
             self.eta_los_db - self.eta_nlos_db, self.a, -self.b, self.eta_nlos_db,
             20.0 * math.log10(4.0 * math.pi * self.carrier_freq_hz / LIGHT_SPEED_M_S)))

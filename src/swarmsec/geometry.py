@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .channel import check_count, check_real, power_loss_linear
+from .channel import check_count, check_points, check_real, power_loss_linear
 
 
 def worst_case_eve_position(bob_xy, ring_radius: float, uav_xyz, env,
@@ -21,13 +21,11 @@ def worst_case_eve_position(bob_xy, ring_radius: float, uav_xyz, env,
     resolve deterministically instead of by floating-point noise in the trig
     evaluations.
     """
-    uavs = np.asarray(uav_xyz, dtype=float).tolist()
-    if not uavs:
-        raise ValueError("uav_xyz must be non-empty")
+    bx, by = check_points("bob_xy", bob_xy, (2,)).tolist()
     ring_radius = check_real("ring_radius", ring_radius, positive=True)
+    uavs = check_points("uav_xyz", uav_xyz, ("L", 3)).tolist()
     grid_points = check_count("grid_points", grid_points, minimum=8)
 
-    bx, by = (float(v) for v in bob_xy)
     thetas = 2.0 * math.pi * np.arange(grid_points) / grid_points
     ring = [(bx + ring_radius * math.cos(theta), by + ring_radius * math.sin(theta))
             for theta in thetas]

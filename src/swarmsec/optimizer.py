@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import check_count, check_real
 from .errors import InfeasibleStartError, NumericalError
-from .rates import (LOG2E, _check_aux, _check_schedules, _check_tau, _lane_stack, _log_slope,
+from .rates import (LOG2E, _check_aux, _check_schedule, _check_tau, _lane_stack, _log_slope,
                     _snr_coefficient, per_slot_secrecy, secrecy_throughput_closed_form)
 from .scenario import PowerSchedule, Scenario
 
@@ -44,7 +44,7 @@ def solve_aux_block_min(schedule: PowerSchedule, tau, scenario: Scenario):
     ``secrecy_throughput_closed_form`` returns. Slots with zero duration are
     still solved; the later blocks may re-activate them.
     """
-    aux = secrecy_throughput_closed_form(scenario, schedule, tau)[1]
+    aux = secrecy_throughput_closed_form(scenario, [schedule], tau)[0][1]
     return aux[0], aux[3]
 
 
@@ -55,7 +55,7 @@ def solve_aux_block_max(schedule: PowerSchedule, tau, scenario: Scenario):
     each negated rate term, i.e. the same per-slot fixed points. Returns
     (bob_an, eve_total), rows of the closed form's aux array.
     """
-    aux = secrecy_throughput_closed_form(scenario, schedule, tau)[1]
+    aux = secrecy_throughput_closed_form(scenario, [schedule], tau)[0][1]
     return aux[1], aux[2]
 
 
@@ -162,13 +162,13 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
     Slots with zero duration keep their previous powers verbatim. Raises
     NumericalError if the KKT residual audit exceeds ``POWER_KKT_TOL``.
     """
-    _, tau = _check_schedules(scenario, schedule_prev, tau_prev)
+    p_u, p_a, tau = _check_schedule(scenario, schedule_prev, tau_prev)
     b = scenario.budgets
 
     # per-term coefficients and the anchor's slopes, (4, N, L) in TERMS order;
     # the exact terms keep their coefficient (beta), the linearized ones their
     # slope (gamma), each as an (N, L) grid
-    p, n, q = _lane_stack(scenario, schedule_prev)
+    p, n, q = _lane_stack(scenario, p_u, p_a)
     coef = _snr_coefficient(n, q, _check_aux(aux, scenario), scenario.noise_w)
     slope = _log_slope(coef, p)
     beta_b, gamma_b, gamma_e, beta_e = coef[0], slope[1], slope[2], coef[3]
@@ -182,9 +182,7 @@ def solve_power_subproblem(aux, tau_prev, schedule_prev: PowerSchedule,
                              {"residual": residual, "tol": POWER_KKT_TOL})
 
     idle = tau == 0.0
-    if idle.any():
-        u[idle] = schedule_prev.p_u[idle]
-        a[idle] = schedule_prev.p_a[idle]
+    u[idle], a[idle] = p_u[idle], p_a[idle]
     return PowerSchedule(u, a)
 
 
@@ -232,11 +230,11 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
 def audit_feasibility(scenario: Scenario, schedule: PowerSchedule, tau) -> dict:
     """Budget-violation magnitudes (all zero for a feasible point); the power
     box holds for every ``PowerSchedule``, and tau >= 0 for every ``tau``."""
-    tau = _check_tau(scenario, tau)
+    p_u, _, tau = _check_schedule(scenario, schedule, tau)
     b = scenario.budgets
     return {
-        "power_cap": float(max(0.0, (schedule.p_u - b.p_max_w).max())),
-        "energy": float(max(0.0, (tau @ schedule.p_u - b.e_max_j).max())),
+        "power_cap": float(max(0.0, (p_u - b.p_max_w).max())),
+        "energy": float(max(0.0, (tau @ p_u - b.e_max_j).max())),
         "tau_cap": float(max(0.0, (tau - b.tau_max_s).max())),
         "time_total": float(max(0.0, tau.sum() - b.t_total_s)),
     }
@@ -287,15 +285,15 @@ class SolutionTrace:
 def _evaluate(scenario: Scenario, schedule: PowerSchedule, tau,
               previous: IterationRecord | None = None,
               power_inner_iters: int = 0) -> IterationRecord:
-    """Score, audit and record one point; ``previous`` is the point it improves
-    on. The closed form checks the point's inputs, so a start is checked
-    there and then audited."""
-    objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
-    tau = np.array(tau, dtype=float)
-    tau.flags.writeable = False  # read-only like the schedule it is scored with
+    """Audit, score and record one point; ``previous`` is the point it improves
+    on. The audit checks the point's inputs, one schedule and its durations,
+    so a start is checked and audited before the closed form scores it."""
     max_violation = max(audit_feasibility(scenario, schedule, tau).values())
     if previous is None and max_violation > FEASIBILITY_TOL:
         raise InfeasibleStartError(f"initial point infeasible by {max_violation:.3e}")
+    objective, aux, per_slot = secrecy_throughput_closed_form(scenario, schedule, tau)
+    tau = np.array(tau, dtype=float)
+    tau.flags.writeable = False  # read-only like the schedule it is scored with
     clipped = float(np.dot(tau, np.maximum(per_slot, 0.0)) / scenario.budgets.t_period_s)
     non_monotone = previous is not None and not _ascends(previous.objective, objective)
     return IterationRecord(

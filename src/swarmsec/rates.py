@@ -370,37 +370,36 @@ def _check_tau(scenario: Scenario, tau) -> np.ndarray:
     return check_array("tau", tau, shape=(scenario.n_slots,))
 
 
-def _check_schedules(scenario: Scenario, schedules, tau=None) -> tuple[list, np.ndarray]:
-    """One ``PowerSchedule`` or a nonempty sequence of them, as a list, each
-    of the scenario's shape, and the durations, if given, checked once
-    against the scenario."""
-    listed = [schedules] if isinstance(schedules, PowerSchedule) else list(schedules)
-    if not listed:
-        raise ValueError("at least one schedule is needed")
-    for schedule in listed:
-        if schedule.p_u.shape != (scenario.n_slots, scenario.n_uavs):
-            raise ValueError(f"schedule shape {schedule.p_u.shape} does not match the "
-                             f"scenario ({scenario.n_slots} slots, {scenario.n_uavs} UAVs)")
-    return listed, None if tau is None else _check_tau(scenario, tau)
+def _check_schedule(scenario: Scenario, schedule, tau=None):
+    """Exactly one ``PowerSchedule`` of the scenario's (N, L) shape: its ``p_u``
+    and ``p_a``, and the durations, if given, checked against the scenario."""
+    if not isinstance(schedule, PowerSchedule):
+        raise ValueError(f"schedule must be a PowerSchedule, got {type(schedule).__name__}")
+    if schedule.p_u.shape != (scenario.n_slots, scenario.n_uavs):
+        raise ValueError(f"schedule shape {schedule.p_u.shape} does not match the "
+                         f"scenario ({scenario.n_slots} slots, {scenario.n_uavs} UAVs)")
+    return schedule.p_u, schedule.p_a, None if tau is None else _check_tau(scenario, tau)
 
 
-def _power_stacks(schedules) -> tuple[np.ndarray, np.ndarray]:
-    """(p_u, p_a) of one schedule, (N, L) each, or of a list of S, (S, N, L) each."""
-    if isinstance(schedules, PowerSchedule):
-        return schedules.p_u, schedules.p_a
-    return np.stack([s.p_u for s in schedules]), np.stack([s.p_a for s in schedules])
+def _check_schedules(scenario: Scenario, schedules, tau=None):
+    """``_check_schedule`` for one ``PowerSchedule`` or a nonempty list or tuple
+    of them, with the powers as (S, N, L) stacks, S = 1 for one schedule."""
+    listed = [schedules] if isinstance(schedules, PowerSchedule) else schedules
+    if not isinstance(listed, (list, tuple)) or not listed:
+        raise ValueError(f"schedules must be a PowerSchedule or a nonempty list or tuple "
+                         f"of them, got {type(schedules).__name__}")
+    powers = np.array([_check_schedule(scenario, s)[:2] for s in listed])
+    return powers[:, 0], powers[:, 1], None if tau is None else _check_tau(scenario, tau)
 
 
-def _lane_stack(scenario: Scenario, schedules):
-    """Powers and losses as (4, N, L) stacks for one schedule, or (S, 4, N, L)
-    for a list of S, and antenna counts as a (4, 1) column, one row per rate
-    term in ``TERMS`` order."""
-    p_u, p_a = _power_stacks(schedules)
+def _lane_stack(scenario: Scenario, p_u, p_a):
+    """Powers and losses as (..., 4, N, L) stacks for (..., N, L) powers, and
+    antenna counts as a (4, 1) column, one row per rate term in ``TERMS``
+    order."""
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     p = np.stack([p_u, p_a, p_u, p_a], axis=-3)
-    q = np.stack([scenario.loss_bob, scenario.loss_bob, scenario.loss_eve, scenario.loss_eve])
-    if q.shape != p.shape:
-        q = np.broadcast_to(q, p.shape)
+    q = np.empty(p.shape)
+    q[..., :2, :, :], q[..., 2:, :, :] = scenario.loss_bob, scenario.loss_eve
     return p, np.array([[nb], [nb], [ne], [ne]]), q
 
 
@@ -416,9 +415,9 @@ def _secrecy_rate(terms) -> np.ndarray:
 
 def per_slot_secrecy(scenario: Scenario, schedule: PowerSchedule, aux) -> np.ndarray:
     """Per-slot secrecy rates evaluated at a fixed (4, N) aux array."""
-    _check_schedules(scenario, schedule)
+    p_u, p_a, _ = _check_schedule(scenario, schedule)
     aux = _check_aux(aux, scenario)
-    p, n, q = _lane_stack(scenario, schedule)
+    p, n, q = _lane_stack(scenario, p_u, p_a)
     return _secrecy_rate(_rate_term(p, n, q, aux, scenario.noise_w))
 
 
@@ -431,22 +430,20 @@ def secrecy_throughput_closed_form(scenario: Scenario, schedules, tau):
     ``PowerSchedule`` it returns a tuple: the throughput, the auxiliary
     minimizers as a (4, N) array in ``TERMS`` order (they depend on the
     schedule only), and the per-slot secrecy rates before weighting. For a
-    sequence of schedules it returns a list of those tuples: the schedules
-    are stacked into one (S, 4, N, L) lane stack scored by one
-    ``solve_fixed_point`` and one rate-term evaluation, and each tuple has
-    the same bits as that schedule alone. The stack is checked once, by
-    ``solve_fixed_point``.
+    list or tuple of schedules it returns a list of those tuples. Either way
+    the S schedules (S = 1 for one) are stacked into one (S, 4, N, L) lane
+    stack scored by one ``solve_fixed_point`` and one rate-term evaluation,
+    and each tuple has the same bits as that schedule alone. The stack is
+    checked once, by ``solve_fixed_point``.
     """
-    single = isinstance(schedules, PowerSchedule)
-    listed, tau = _check_schedules(scenario, schedules, tau)
-    p, n, q = _lane_stack(scenario, schedules if single else listed)
+    p_u, p_a, tau = _check_schedules(scenario, schedules, tau)
+    p, n, q = _lane_stack(scenario, p_u, p_a)
     aux = solve_fixed_point(p, n, q, scenario.noise_w)
     per_slot = _secrecy_rate(_rate_term(p, n, q, aux, scenario.noise_w))
     period = scenario.budgets.t_period_s
-    if single:
-        return float(np.dot(tau, per_slot) / period), aux, per_slot
-    return [(float(np.dot(tau, slots) / period), a, slots)
-            for a, slots in zip(aux, per_slot)]
+    results = [(float(np.dot(tau, slots) / period), a, slots)
+               for a, slots in zip(aux, per_slot)]
+    return results[0] if isinstance(schedules, PowerSchedule) else results
 
 
 def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
@@ -456,20 +453,18 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
     Per slot the scheduled user's ergodic rate (artificial noise as
     interference) minus the eavesdropper's is estimated from ``samples``
     draws. Standard errors propagate through the weighted sum. ``schedules``
-    is one ``PowerSchedule``, which gives one estimate, or a sequence of them,
-    which gives a list: each slot's fading is drawn once per receiver and
-    every schedule is evaluated on those draws (common random numbers), with
-    the same bits as that schedule alone.
+    is one ``PowerSchedule``, which gives one estimate, or a list or tuple of
+    them, which gives a list; either is scored as one (S, N, L) stack: each
+    slot's fading is drawn once per receiver and every schedule is evaluated
+    on those draws (common random numbers), with the same bits as alone.
     """
-    single = isinstance(schedules, PowerSchedule)
-    schedules, tau = _check_schedules(scenario, schedules, tau)
-    p_u, p_a = _power_stacks(schedules)
+    p_u, p_a, tau = _check_schedules(scenario, schedules, tau)
     p_s = p_u - p_a
     nb, ne = scenario.bob_antennas, scenario.eve_antennas
     noise = scenario.noise_w
     streams = rng.spawn(2 * scenario.n_slots)
 
-    means = np.empty((len(schedules), scenario.n_slots))
+    means = np.empty(p_u.shape[:2])
     std_errors = np.empty_like(means)
     for i in range(scenario.n_slots):
         bob = ergodic_rate_mc(scenario.loss_bob[i], p_s[:, i], p_a[:, i], noise, nb,
@@ -479,7 +474,7 @@ def secrecy_throughput_mc(scenario: Scenario, schedules, tau, samples: int,
         means[:, i] = bob.mean - eve.mean
         std_errors[:, i] = np.hypot(bob.std_error, eve.std_error)
     estimates = [_weighted_estimate(scenario, tau, m, e) for m, e in zip(means, std_errors)]
-    return estimates[0] if single else estimates
+    return estimates[0] if isinstance(schedules, PowerSchedule) else estimates
 
 
 def _std_error(vals: np.ndarray) -> float:

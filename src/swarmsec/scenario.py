@@ -6,7 +6,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import EnvironmentParams, check_array, check_count, check_real, power_loss_linear
+from .channel import (EnvironmentParams, check_array, check_count, check_points, check_real,
+                      power_loss_linear)
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,10 @@ class Scenario:
         if not isinstance(self.env, EnvironmentParams):
             raise ValueError(f"env must be an EnvironmentParams, "
                              f"got {type(self.env).__name__}")
-        uav, bob, eve = (np.array(getattr(self, name), dtype=float)
-                         for name in ("uav_xyz", "bob_xy", "eve_xy"))
-        if uav.ndim != 3 or uav.shape[2] != 3 or uav.size == 0:
-            raise ValueError(f"uav_xyz must have shape (N, L, 3) with N, L >= 1, "
-                             f"got {uav.shape}")
+        uav = check_points("uav_xyz", self.uav_xyz, ("N", "L", 3))
         n_slots, n_uavs, _ = uav.shape
-        if bob.shape != (n_slots, 2) or eve.shape != (n_slots, 2):
-            raise ValueError(f"bob_xy and eve_xy must have shape ({n_slots}, 2), "
-                             f"got {bob.shape} and {eve.shape}")
-        if not all(np.all(np.isfinite(a)) for a in (uav, bob, eve)):
-            raise ValueError("node coordinates must be finite")
+        bob, eve = (check_points(name, getattr(self, name), (n_slots, 2))
+                    for name in ("bob_xy", "eve_xy"))
         if np.any(uav[..., 2] <= 0.0):
             raise ValueError("every transmitter must be airborne (z > 0)")
         for name in ("bob_antennas", "eve_antennas"):
@@ -128,7 +122,7 @@ class PowerSchedule:
 def uniform_schedule(scenario: Scenario, p_u_w: float, p_a_w: float) -> PowerSchedule:
     """Constant schedule: every UAV in every slot uses the same power pair.
 
-    Real numbers (``check_real``) are clipped into the feasible box
+    Finite real numbers (``check_real``) are clipped into the feasible box
     (0 <= p_a <= p_u <= p_max), so a setting above the cap becomes the cap.
     """
     p_u = min(max(check_real("p_u_w", p_u_w), 0.0), scenario.budgets.p_max_w)

@@ -270,7 +270,7 @@ def _power_grids(seed):
     tau = rng.uniform(0.5, 6.0, 4)
     tau[int(rng.integers(4))] = 0.0
     aux = _aux_from(anchor, tau, scenario)
-    p, n, q = _lane_stack(scenario, anchor)
+    p, n, q = _lane_stack(scenario, anchor.p_u, anchor.p_a)
     coef = _snr_coefficient(n, q, aux, scenario.noise_w)
     slope = _log_slope(coef, p)
     return coef[0], coef[3], slope[1], slope[2], tau
