@@ -93,6 +93,14 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_seed(name: str, value) -> int:
+    """A 64-bit seed word: an integer k, 0 <= k < 2**64; booleans are rejected."""
+    value = check_count(name, value, minimum=0)
+    if value >= 2 ** 64:
+        raise ValueError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class EnvironmentParams:
     """Propagation constants of one deployment environment.
@@ -143,48 +151,55 @@ def dbm_to_watts(dbm: float) -> float:
         raise ValueError(f"power {dbm} dBm is out of range") from None
 
 
-def power_loss_linear(env: EnvironmentParams, uav, ground) -> float:
+def power_loss_linear(env: EnvironmentParams, uav_xyz, ground_xy) -> float:
     """Absolute power attenuation factor between one transmitter and one ground node.
 
-    ``uav`` is an airborne (x, y, z) point and ``ground`` an (x, y) point on
-    the ground, in meters. The loss in dB is a function of the slant range d
+    ``uav_xyz`` is an airborne (x, y, z) point and ``ground_xy`` an (x, y) point
+    on the ground, in meters. The loss in dB is a function of the slant range d
     and the elevation angle asin(z / d) in degrees; this returns 10**(dB / 10).
-    A link whose range or loss is out of float range raises ValueError.
+    An ``env`` that is not an ``EnvironmentParams``, z <= 0, and a link whose
+    range or loss is out of float range each raise ValueError.
     """
-    x, y, z = uav
-    gx, gy = ground
+    x, y, z = uav_xyz
+    gx, gy = ground_xy
     if z <= 0.0:
-        raise ValueError(f"transmitter altitude must be positive, got {z}")
-    excess_span, a, neg_b, eta_nlos_db, free_space_1m = env._link_constants
+        raise ValueError(f"uav_xyz altitude must be positive, got {z}")
     # each square a product, correctly rounded (``t ** 2`` goes through libm's
     # pow); a product overflows to inf or underflows to 0 without raising, so
     # the range is checked
     dx, dy = x - gx, y - gy
     d = _sqrt(z * z + dx * dx + dy * dy)
-    if 0.0 < d < _INF:
-        try:
+    try:  # env is checked here, not by isinstance: the scan calls this on every link
+        excess_span, a, neg_b, eta_nlos_db, free_space_1m = env._link_constants
+        if 0.0 < d < _INF:
             rho = _asin(z / d) * _DEGREES_PER_RADIAN
             blended = excess_span / (1.0 + a * _exp(neg_b * (rho - a)))
             loss_db = blended + (20.0 * _log10(d) + free_space_1m) + eta_nlos_db
             return 10.0 ** (loss_db / 10.0)
-        except OverflowError:
-            pass
-    raise ValueError(f"path loss from transmitter {tuple(map(float, uav))} to ground "
-                     f"point {tuple(map(float, ground))} is out of float range")
+    except AttributeError:
+        raise ValueError(f"env must be an EnvironmentParams, got {type(env).__name__}") from None
+    except OverflowError:
+        pass
+    raise ValueError(f"path loss from transmitter {tuple(map(float, uav_xyz))} to ground "
+                     f"point {tuple(map(float, ground_xy))} is out of float range")
 
 
-def path_loss_db(env: EnvironmentParams, uav, ground) -> float:
+def path_loss_db(env: EnvironmentParams, uav_xyz, ground_xy) -> float:
     """Air-to-ground path loss in dB, 10 * log10(power_loss_linear(...))."""
-    return 10.0 * math.log10(power_loss_linear(env, uav, ground))
+    return 10.0 * math.log10(power_loss_linear(env, uav_xyz, ground_xy))
 
 
-def _entropy_word(part) -> int:
-    """Map one key part (int or str) to a stable 64-bit entropy word."""
-    if isinstance(part, (int, np.integer)):
-        return int(part) & 0xFFFFFFFFFFFFFFFF
+def _entropy_word(name: str, part) -> int:
+    """Map one part of a (seed, key) path to a stable 64-bit entropy word: a
+    string by its hash, anything else by ``check_seed``."""
     if isinstance(part, str):
         return int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "big")
-    raise TypeError(f"substream key parts must be int or str, got {type(part).__name__}")
+    return check_seed(name, part)
+
+
+def _seed_sequence(seed, key) -> np.random.SeedSequence:
+    return np.random.SeedSequence([_entropy_word("seed", seed)]
+                                  + [_entropy_word("seed key part", k) for k in key])
 
 
 def substream(seed: int, *key) -> np.random.Generator:
@@ -192,16 +207,15 @@ def substream(seed: int, *key) -> np.random.Generator:
 
     The same (seed, key) always yields the same stream; distinct keys give
     statistically independent streams. Keys mix ints and short strings, e.g.
-    ``substream(7, "uav", slot, member)``.
+    ``substream(7, "uav", slot, member)``; the seed and every integer part
+    must pass ``check_seed``, so no two integers alias one stream.
     """
-    words = [_entropy_word(seed)] + [_entropy_word(k) for k in key]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def derive_seed(seed: int, *key) -> int:
     """Collapse (seed, key) to a plain integer seed for child scenarios."""
-    words = [_entropy_word(seed)] + [_entropy_word(k) for k in key]
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def sample_small_scale(rng: np.random.Generator, n_antennas: int, n_tx: int,

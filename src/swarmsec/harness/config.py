@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from ..channel import (EnvironmentParams, check_count, check_real, dbm_to_watts,
+from ..channel import (EnvironmentParams, check_count, check_real, check_seed, dbm_to_watts,
                        environment_preset)
 from ..scenario import Budgets
 
@@ -100,7 +100,7 @@ class ScenarioConfig:
         for name in ("mc_samples", "baseline_samples"):  # a standard error needs two draws
             check_count(name, getattr(self, name), minimum=2)
         check_count("eve_grid_points", self.eve_grid_points, minimum=8)
-        check_count("seed", self.seed, minimum=0)
+        check_seed("seed", self.seed)
         if self.altitude_min_m <= 0 or self.altitude_max_m < self.altitude_min_m:
             raise ValueError("altitudes must satisfy 0 < altitude_min_m <= altitude_max_m")
         for name in ("bcd_epsilon", "cell_size_m", "eve_ring_radius_m"):

@@ -201,13 +201,13 @@ def solve_duration_lp(aux, schedule: PowerSchedule, scenario: Scenario) -> np.nd
     """
     b = scenario.budgets
     coeff = per_slot_secrecy(scenario, schedule, aux) / b.t_period_s
-    # The box 0 <= tau <= tau_max contains the feasible set, so its maximizer
-    # is the LP optimum when it meets the energy and time rows, and the only
-    # one when no coefficient is 0. A nan goes on to linprog, which rejects it.
+    # The box 0 <= tau <= tau_max holds the feasible set, so its maximizer is the only LP
+    # optimum when no coefficient is 0 or nan and the audit's energy and time rows read 0.
     box = np.where(coeff > 0.0, b.tau_max_s, 0.0)
-    if (np.all(np.abs(coeff) > 0.0) and np.all(box @ schedule.p_u <= b.e_max_j)
-            and box.sum() <= b.t_total_s):
-        return box
+    if np.all(np.abs(coeff) > 0.0):
+        audit = audit_feasibility(scenario, schedule, box)
+        if audit["energy"] == 0.0 and audit["time_total"] == 0.0:
+            return box
 
     # imported here, not at the top: scipy.optimize costs about 0.4 s and 40 MB
     # to load, and only an LP whose box vertex breaks a budget row uses it

@@ -58,20 +58,16 @@ class Scenario:
     loss_eve: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.env, EnvironmentParams):
-            raise ValueError(f"env must be an EnvironmentParams, "
-                             f"got {type(self.env).__name__}")
         uav = check_points("uav_xyz", self.uav_xyz, ("N", "L", 3))
         n_slots, n_uavs, _ = uav.shape
         bob, eve = (check_points(name, getattr(self, name), (n_slots, 2))
                     for name in ("bob_xy", "eve_xy"))
-        if np.any(uav[..., 2] <= 0.0):
-            raise ValueError("every transmitter must be airborne (z > 0)")
         for name in ("bob_antennas", "eve_antennas"):
             check_count(name, getattr(self, name))
         noise_w = check_real("noise_w", self.noise_w, positive=True)
         object.__setattr__(self, "noise_w", noise_w)
 
+        # the kernel checks env and every transmitter's altitude on each link
         loss_bob = np.empty((n_slots, n_uavs))
         loss_eve = np.empty_like(loss_bob)
         bobs, eves = bob.tolist(), eve.tolist()

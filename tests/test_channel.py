@@ -242,7 +242,7 @@ def test_substream_reproducible_and_keyed():
 
 
 def test_substream_rejects_bad_key_parts():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^seed key part must be an integer of at least 0"):
         substream(1, 2.5)
 
 

@@ -91,6 +91,7 @@ BAD_CONFIG_VALUES = [
     {"sweep_values": [50, "abc"]},
     {"sweep_variable": "environment", "sweep_values": ["urban", "atlantis"]},
     {"e_max_j": -5},
+    {"seed": 2 ** 64},
     {"tau_max_s": 200},
     {"t_period_s": 50.0},
     {"carrier_freq_hz": -1},
@@ -785,6 +786,16 @@ def test_cli_validate_one_sample_exits_1(tmp_path, capsys):
     assert main(["validate", "--config", str(config), "--samples", "1",
                  "--out-dir", str(out_dir)]) == 1
     assert _assert_one_error_line(capsys).startswith("error: mc_samples ")
+    assert not out_dir.exists()
+
+
+def test_cli_seed_of_64_bits_or_more_exits_1(tmp_path, capsys):
+    # 2**64 was masked to seed 0: it exited 0 and wrote seed 0's solution
+    out_dir = tmp_path / "results"
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    assert main(["optimize", "--config", str(config), "--seed", str(2 ** 64),
+                 "--out-dir", str(out_dir)]) == 1
+    assert _assert_one_error_line(capsys).startswith("error: seed ")
     assert not out_dir.exists()
 
 

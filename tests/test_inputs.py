@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swarmsec.channel import EnvironmentParams, environment_preset, sample_small_scale, substream
+from swarmsec.channel import (EnvironmentParams, derive_seed, environment_preset, path_loss_db,
+                              power_loss_linear, sample_small_scale, substream)
 from swarmsec.geometry import worst_case_eve_position
 from swarmsec.harness.baseline import baseline_null_space
 from swarmsec.harness.config import ScenarioConfig
@@ -26,6 +27,8 @@ TAU = np.ones(SCENARIO.n_slots)
 AUX = np.ones((4, SCENARIO.n_slots))
 NAN_AUX = np.where(np.eye(4, SCENARIO.n_slots) > 0.0, np.nan, 1.0)
 LANE = ([0.1, 0.2], 2, [1e9, 2e9])  # powers, antennas, losses of one lane
+UNDERGROUND = np.array(SCENARIO.uav_xyz)
+UNDERGROUND[0, 1, 2] = -1.0
 
 CASES = {
     # a nan among a (4, N) array's entries: the message printed the array
@@ -105,6 +108,14 @@ CASES = {
         (0.0, 0.0, 0.0), 100.0, [(1.0, 0.0, 100.0)], environment_preset("urban"))),
     "worst_case_eve_position 2-D UAVs": ("uav_xyz", lambda: worst_case_eve_position(
         (0.0, 0.0), 100.0, [[0, 0]], environment_preset("urban"))),
+    # "transmitter altitude must be positive" named no input
+    "worst_case_eve_position underground UAV": ("uav_xyz", lambda: worst_case_eve_position(
+        (0.0, 0.0), 100.0, [(1.0, 0.0, 100.0), (0.0, 1.0, -5.0)], environment_preset("urban"))),
+    "power_loss_linear grounded UAV": ("uav_xyz", lambda: power_loss_linear(
+        environment_preset("urban"), (0.0, 0.0, 0.0), (1.0, 0.0))),
+    # "every transmitter must be airborne (z > 0)" named no input
+    "scenario underground UAV": ("uav_xyz", lambda: dataclasses.replace(
+        SCENARIO, uav_xyz=UNDERGROUND)),
     "power schedule negative p_a": ("p_a", lambda: PowerSchedule(SCHEDULE.p_u,
                                                                  -SCHEDULE.p_a - 0.01)),
     "power schedule p_a above p_u": ("p_a", lambda: PowerSchedule(SCHEDULE.p_a,
@@ -121,6 +132,27 @@ CASES = {
     "environment zero carrier": ("carrier_freq_hz", lambda: EnvironmentParams(
         eta_los_db=1.0, eta_nlos_db=20.0, carrier_freq_hz=0.0)),
 }
+
+# The kernel and every caller raised "'NoneType' object has no attribute
+# '_link_constants'" for a non-environment
+for _label, _env in (("none", None), ("string", "urban"),
+                     ("dict", {"eta_los_db": 1.0, "eta_nlos_db": 20.0})):
+    CASES[f"worst_case_eve_position {_label} env"] = ("env", lambda e=_env: (
+        worst_case_eve_position((0.0, 0.0), 100.0, [(1.0, 0.0, 100.0)], e)))
+    CASES[f"power_loss_linear {_label} env"] = ("env", lambda e=_env: power_loss_linear(
+        e, (0.0, 0.0, 100.0), (1.0, 0.0)))
+    CASES[f"path_loss_db {_label} env"] = ("env", lambda e=_env: path_loss_db(
+        e, (0.0, 0.0, 100.0), (1.0, 0.0)))
+
+# A boolean seed was the stream of 1, and -1 that of 2**64 - 1: an integer was
+# masked to 64 bits; a float key part raised a TypeError naming nothing
+for _label, _seed, _key in (("boolean", True, ()), ("negative", -1, ()),
+                            ("too large", 2 ** 64, ()), ("negative key part", 1, ("uav", -1)),
+                            ("float key part", 1, (2.5,))):
+    CASES[f"substream {_label} seed"] = ("seed", lambda s=_seed, k=_key: substream(s, *k))
+    CASES[f"derive_seed {_label} seed"] = ("seed", lambda s=_seed, k=_key: derive_seed(s, *k))
+CASES["generate_topology boolean seed"] = ("seed", lambda: generate_topology(
+    ScenarioConfig(n_slots=1, eve_grid_points=8), True))
 
 # A non-schedule raised an AttributeError, TypeError or IndexError naming
 # nothing, and a list given for one schedule could give a result
